@@ -1,13 +1,12 @@
 #include "base/rng.h"
 
 #include <cmath>
+#include <numbers>
 
 #include "base/check.h"
 
 namespace geodp {
 namespace {
-
-constexpr double kPi = 3.14159265358979323846;
 
 uint64_t SplitMix64(uint64_t& state) {
   state += 0x9E3779B97f4A7C15ULL;
@@ -67,9 +66,9 @@ double Rng::Gaussian() {
   while (u1 <= 1e-300) u1 = Uniform();
   const double u2 = Uniform();
   const double radius = std::sqrt(-2.0 * std::log(u1));
-  cached_gaussian_ = radius * std::sin(2.0 * kPi * u2);
+  cached_gaussian_ = radius * std::sin(2.0 * std::numbers::pi * u2);
   has_cached_gaussian_ = true;
-  return radius * std::cos(2.0 * kPi * u2);
+  return radius * std::cos(2.0 * std::numbers::pi * u2);
 }
 
 double Rng::Gaussian(double mean, double stddev) {

@@ -14,6 +14,7 @@
 #include <immintrin.h>
 
 #include <array>
+#include <numbers>
 
 namespace geodp {
 namespace simd {
@@ -217,7 +218,7 @@ inline __m256d Atan2(__m256d y, __m256d x) {
   // Left half-plane: shift by +/- pi with the sign of y.
   const __m256d x_neg = _mm256_cmp_pd(x, _mm256_setzero_pd(), _CMP_LT_OQ);
   const __m256d pi_signed = _mm256_or_pd(
-      _mm256_set1_pd(3.14159265358979323846), _mm256_and_pd(y, sign_mask));
+      _mm256_set1_pd(std::numbers::pi), _mm256_and_pd(y, sign_mask));
   return _mm256_add_pd(_mm256_and_pd(x_neg, pi_signed), q);
 }
 

@@ -16,6 +16,7 @@
 #include <array>
 #include <cmath>
 #include <cstring>
+#include <numbers>
 
 #include "base/simd/avx2_math.h"
 #include "base/simd/kernels_impl.h"
@@ -24,8 +25,7 @@ namespace geodp {
 namespace simd {
 namespace {
 
-constexpr double kPi = 3.14159265358979323846;
-constexpr double kTwoPi = 2.0 * kPi;
+constexpr double kTwoPi = 2.0 * std::numbers::pi;
 
 void AddAvx2(float* y, const float* x, int64_t n) {
   int64_t i = 0;
@@ -212,7 +212,8 @@ __m256d WrapReflect4(__m256d t) {
   t = _mm256_fnmadd_pd(whole_turns, two_pi, t);
   t = _mm256_min_pd(_mm256_max_pd(t, _mm256_setzero_pd()), two_pi);
   const __m256d reflected = _mm256_sub_pd(two_pi, t);
-  const __m256d over_pi = _mm256_cmp_pd(t, _mm256_set1_pd(kPi), _CMP_GT_OQ);
+  const __m256d over_pi =
+      _mm256_cmp_pd(t, _mm256_set1_pd(std::numbers::pi), _CMP_GT_OQ);
   return _mm256_blendv_pd(t, reflected, over_pi);
 }
 

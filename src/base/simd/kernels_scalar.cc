@@ -6,14 +6,13 @@
 // relative to the historical code.
 
 #include <cmath>
+#include <numbers>
 
 #include "base/simd/kernels_impl.h"
 
 namespace geodp {
 namespace simd {
 namespace {
-
-constexpr double kPi = 3.14159265358979323846;
 
 void AddScalar(float* y, const float* x, int64_t n) {
   for (int64_t i = 0; i < n; ++i) y[i] += x[i];
@@ -90,9 +89,9 @@ void Atan2Scalar(const double* y, const double* x, double* out, int64_t n) {
 
 void WrapReflectScalar(double* angles, int64_t n) {
   for (int64_t i = 0; i < n; ++i) {
-    double theta = std::fmod(angles[i], 2.0 * kPi);
-    if (theta < 0) theta += 2.0 * kPi;
-    if (theta > kPi) theta = 2.0 * kPi - theta;
+    double theta = std::fmod(angles[i], 2.0 * std::numbers::pi);
+    if (theta < 0) theta += 2.0 * std::numbers::pi;
+    if (theta > std::numbers::pi) theta = 2.0 * std::numbers::pi - theta;
     angles[i] = theta;
   }
 }

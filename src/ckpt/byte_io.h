@@ -143,8 +143,12 @@ class ByteReader {
       return {};
     }
     std::vector<T> values(static_cast<size_t>(count));
-    std::memcpy(values.data(), data_ + pos_,
-                static_cast<size_t>(count) * sizeof(T));
+    // An empty vector's data() may be null, and memcpy's pointers must
+    // not be, even for zero bytes.
+    if (count > 0) {
+      std::memcpy(values.data(), data_ + pos_,
+                  static_cast<size_t>(count) * sizeof(T));
+    }
     pos_ += static_cast<size_t>(count) * sizeof(T);
     return values;
   }

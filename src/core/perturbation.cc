@@ -1,6 +1,8 @@
 #include "core/perturbation.h"
 
 #include <cmath>
+#include <numbers>
+#include <utility>
 
 #include "base/check.h"
 #include "base/simd/kernels.h"
@@ -110,25 +112,24 @@ double GeoDpPerturber::DirectionNoiseStddev(int64_t dimension) const {
 }
 
 SphericalCoordinates GeoDpPerturber::PerturbSpherical(
-    const SphericalCoordinates& coords, Rng& rng) const {
-  SphericalCoordinates noisy = coords;
-  noisy.magnitude += rng.Gaussian(0.0, MagnitudeNoiseStddev());
-  if (options_.clamp_magnitude && noisy.magnitude < 0.0) {
-    noisy.magnitude = 0.0;
+    SphericalCoordinates coords, Rng& rng) const {
+  coords.magnitude += rng.Gaussian(0.0, MagnitudeNoiseStddev());
+  if (options_.clamp_magnitude && coords.magnitude < 0.0) {
+    coords.magnitude = 0.0;
   }
   const double angle_stddev = DirectionNoiseStddev(coords.CartesianDim());
-  AddGaussianNoise(noisy.angles, angle_stddev, rng.Next());
+  AddGaussianNoise(coords.angles, angle_stddev, rng.Next());
   switch (options_.angle_handling) {
     case AngleHandling::kNone:
       break;
     case AngleHandling::kWrap:
-      noisy.angles = WrapAngles(std::move(noisy.angles));
+      coords.angles = WrapAngles(std::move(coords.angles));
       break;
     case AngleHandling::kClamp:
-      noisy.angles = ClampAngles(std::move(noisy.angles));
+      coords.angles = ClampAngles(std::move(coords.angles));
       break;
   }
-  return noisy;
+  return coords;
 }
 
 NoiseStddevs GeoDpPerturber::Stddevs(int64_t dimension) const {
@@ -145,20 +146,14 @@ Tensor GeoDpPerturber::Perturb(const Tensor& avg_clipped_gradient,
     const TraceSpan span("spherical.to_spherical");
     coords = ToSpherical(avg_clipped_gradient);
   }
-  SphericalCoordinates noisy;
   {
+    // The angle noise lands in place: Perturb owns these coordinates.
     const TraceSpan span("perturb.geodp");
-    noisy = PerturbSpherical(coords, rng);
+    coords = PerturbSpherical(std::move(coords), rng);
   }
   const TraceSpan span("spherical.to_cartesian");
-  return ToCartesian(noisy);
+  return ToCartesian(coords);
 }
-
-namespace {
-
-constexpr double kPi = 3.14159265358979323846;
-
-}  // namespace
 
 GeoLaplacePerturber::GeoLaplacePerturber(GeoLaplaceOptions options)
     : options_(options) {
@@ -180,7 +175,7 @@ double GeoLaplacePerturber::DirectionNoiseScale(int64_t dimension) const {
   // L1 sensitivity of the angle vector: (d-2) angles of range beta*pi plus
   // one of range 2*beta*pi.
   const double l1_sensitivity =
-      static_cast<double>(dimension) * options_.beta * kPi;
+      static_cast<double>(dimension) * options_.beta * std::numbers::pi;
   return l1_sensitivity / (options_.direction_epsilon *
                            static_cast<double>(options_.batch_size));
 }

@@ -110,8 +110,9 @@ class GeoDpPerturber : public Perturber {
   NoiseStddevs Stddevs(int64_t dimension) const override;
 
   /// Perturbs explicitly in spherical coordinates (useful for measuring
-  /// direction error without a second conversion).
-  SphericalCoordinates PerturbSpherical(const SphericalCoordinates& coords,
+  /// direction error without a second conversion). Takes the coordinates
+  /// by value and adds the noise in place; pass an rvalue to avoid a copy.
+  SphericalCoordinates PerturbSpherical(SphericalCoordinates coords,
                                         Rng& rng) const;
 
   /// Noise stddev on the magnitude: C*sigma/B (times the ablation scale).

@@ -1,25 +1,22 @@
 #include "core/privacy_region.h"
 
 #include <cmath>
+#include <numbers>
 
 #include "base/check.h"
 #include "dp/gaussian_mechanism.h"
 
 namespace geodp {
-namespace {
-
-constexpr double kPi = 3.14159265358979323846;
-
-}  // namespace
 
 DirectionSensitivity ComputeDirectionSensitivity(int64_t dimension,
                                                  double beta) {
   GEODP_CHECK_GE(dimension, 2);
   GEODP_CHECK(beta > 0.0 && beta <= 1.0) << "beta must be in (0, 1]";
   DirectionSensitivity s;
-  s.per_angle = beta * kPi;
-  s.last_angle = 2.0 * beta * kPi;
-  s.total_l2 = std::sqrt(static_cast<double>(dimension) + 2.0) * beta * kPi;
+  s.per_angle = beta * std::numbers::pi;
+  s.last_angle = 2.0 * beta * std::numbers::pi;
+  s.total_l2 = std::sqrt(static_cast<double>(dimension) + 2.0) * beta *
+               std::numbers::pi;
   return s;
 }
 

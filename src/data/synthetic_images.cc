@@ -1,6 +1,7 @@
 #include "data/synthetic_images.h"
 
 #include <cmath>
+#include <numbers>
 #include <vector>
 
 #include "base/check.h"
@@ -8,8 +9,6 @@
 
 namespace geodp {
 namespace {
-
-constexpr double kPi = 3.14159265358979323846;
 
 // Deterministic class prototype: low-frequency sinusoid grid plus a
 // class-positioned Gaussian blob, per channel.
@@ -21,11 +20,11 @@ Tensor MakePrototype(int64_t class_id, const SyntheticImageOptions& options,
   for (int64_t c = 0; c < options.channels; ++c) {
     const double fx = 1.0 + rng.Uniform() * 2.5;
     const double fy = 1.0 + rng.Uniform() * 2.5;
-    const double px = rng.Uniform() * 2.0 * kPi;
-    const double py = rng.Uniform() * 2.0 * kPi;
+    const double px = rng.Uniform() * 2.0 * std::numbers::pi;
+    const double py = rng.Uniform() * 2.0 * std::numbers::pi;
     // Blob center cycles around the image with the class index.
     const double angle =
-        2.0 * kPi * static_cast<double>(class_id) /
+        2.0 * std::numbers::pi * static_cast<double>(class_id) /
         static_cast<double>(std::max<int64_t>(options.num_classes, 1));
     const double cx = 0.5 + 0.3 * std::cos(angle);
     const double cy = 0.5 + 0.3 * std::sin(angle);
@@ -36,8 +35,8 @@ Tensor MakePrototype(int64_t class_id, const SyntheticImageOptions& options,
                          static_cast<double>(options.width - 1);
         const double v = static_cast<double>(y) /
                          static_cast<double>(options.height - 1);
-        const double wave = std::sin(fx * 2.0 * kPi * u + px) *
-                            std::cos(fy * 2.0 * kPi * v + py);
+        const double wave = std::sin(fx * 2.0 * std::numbers::pi * u + px) *
+                            std::cos(fy * 2.0 * std::numbers::pi * v + py);
         const double blob =
             1.6 * std::exp(-((u - cx) * (u - cx) + (v - cy) * (v - cy)) /
                            (2.0 * blob_scale));

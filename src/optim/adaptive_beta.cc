@@ -1,15 +1,11 @@
 #include "optim/adaptive_beta.h"
 
 #include <algorithm>
+#include <numbers>
 
 #include "base/check.h"
 
 namespace geodp {
-namespace {
-
-constexpr double kPi = 3.14159265358979323846;
-
-}  // namespace
 
 AdaptiveBetaController::AdaptiveBetaController(double floor, double ceiling,
                                                double safety_factor,
@@ -66,7 +62,8 @@ double AdaptiveBetaController::CurrentBeta() const {
   double mean_ratio = 0.0;
   const size_t n = min_angle_.size();
   for (size_t z = 0; z < n; ++z) {
-    const double full_range = (z + 1 < n) ? kPi : 2.0 * kPi;
+    const double full_range =
+        (z + 1 < n) ? std::numbers::pi : 2.0 * std::numbers::pi;
     mean_ratio += (max_angle_[z] - min_angle_[z]) / full_range;
   }
   mean_ratio /= static_cast<double>(n);

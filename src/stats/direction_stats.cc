@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numbers>
 
 #include "base/check.h"
 #include "base/rng.h"
@@ -10,11 +11,6 @@
 #include "tensor/tensor_ops.h"
 
 namespace geodp {
-namespace {
-
-constexpr double kPi = 3.14159265358979323846;
-
-}  // namespace
 
 DirectionConcentration AnalyzeDirectionConcentration(
     const GradientDataset& data, int64_t max_gradients) {
@@ -56,7 +52,9 @@ DirectionConcentration AnalyzeDirectionConcentration(
     spreads.Add(stat.stddev());
     max_stddev = std::max(max_stddev, stat.stddev());
     // Each angle's full range is pi except the last one's 2*pi.
-    const double full_range = (z + 1 < angle_stats.size()) ? kPi : 2.0 * kPi;
+    const double full_range = (z + 1 < angle_stats.size())
+                                  ? std::numbers::pi
+                                  : 2.0 * std::numbers::pi;
     mean_range_ratio += (stat.max() - stat.min()) / full_range;
   }
   result.mean_angle_stddev = spreads.mean();

@@ -191,6 +191,24 @@ TEST(CheckpointTest, SaveLoadRoundTripIsExact) {
   EXPECT_EQ(c.options_fingerprint, "v1|test");
 }
 
+TEST(CheckpointTest, EmptyLossHistoryRoundTrips) {
+  // A trainer run with record_loss_every = 0 checkpoints an empty loss
+  // history. Loading it reads zero-length vectors, which must not copy
+  // into (or from) a null buffer; the sanitizer CI legs run this test.
+  const std::string dir = FreshDir("ckpt_empty_loss");
+  TrainingCheckpoint original = MakeCheckpoint(3);
+  original.loss_iterations.clear();
+  original.loss_history.clear();
+  const std::string path = dir + "/" + CheckpointFileName(3);
+  ASSERT_TRUE(SaveTrainingCheckpoint(original, path).ok());
+
+  StatusOr<TrainingCheckpoint> loaded = LoadTrainingCheckpoint(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_TRUE(loaded.value().loss_iterations.empty());
+  EXPECT_TRUE(loaded.value().loss_history.empty());
+  EXPECT_EQ(loaded.value().accountant_rdp, original.accountant_rdp);
+}
+
 TEST(CheckpointTest, SaveLeavesNoTempFileBehind) {
   const std::string dir = FreshDir("ckpt_no_tmp");
   const std::string path = dir + "/" + CheckpointFileName(1);

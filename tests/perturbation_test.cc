@@ -3,11 +3,18 @@
 // GeoDP adds unbiased direction noise tunable via beta (Lemma 1), while
 // DP's direction error cannot be reduced by clipping (Corollary 2).
 
+#include <array>
 #include <cmath>
+#include <cstdint>
+#include <numbers>
+#include <string>
 
 #include <gtest/gtest.h>
 
+#include "base/crc32.h"
 #include "base/rng.h"
+#include "base/simd/dispatch.h"
+#include "base/thread_pool.h"
 #include "core/perturbation.h"
 #include "core/privacy_region.h"
 #include "core/spherical.h"
@@ -18,7 +25,7 @@
 namespace geodp {
 namespace {
 
-constexpr double kPi = 3.14159265358979323846;
+constexpr double kPi = std::numbers::pi;
 
 PerturbationOptions BaseOptions(double c, int64_t b, double sigma) {
   PerturbationOptions options;
@@ -352,6 +359,78 @@ TEST(PerturberFactoryTest, MakersReturnCorrectTypes) {
   geo_options.base = BaseOptions(0.1, 2, 1.0);
   auto geo = MakeGeoDpPerturber(geo_options);
   EXPECT_EQ(geo->name(), "GeoDP");
+}
+
+// Golden release fingerprints: CRC-32 of the float bytes GeoDP and
+// GeoDP-Laplace release on two high-dimensional cases whose spherical
+// round trip underflows into a long tail of signed zeros. The values are
+// fixed per SIMD tier (the AVX2 transcendentals round differently from
+// libm) and must hold at 1 and 8 threads. On these cases the two tiers'
+// last-bit differences in double precision vanish when the release is
+// rounded to float, so both tiers' values happen to coincide.
+struct GoldenCase {
+  int64_t dimension;
+  int64_t batch_size;
+  double beta;
+  std::array<uint32_t, 2> geodp_crc;  // indexed by SimdTier: scalar, avx2
+  std::array<uint32_t, 2> laplace_crc;
+};
+
+uint32_t ReleaseCrc(const Tensor& release) {
+  return Crc32(release.data(),
+               static_cast<size_t>(release.numel()) * sizeof(float));
+}
+
+TEST(GoldenReleaseTest, GeoDpAndGeoLaplaceFingerprintsPerTier) {
+  const std::array<GoldenCase, 2> cases = {{
+      {158986, 64, 0.01, {312716126u, 312716126u},
+       {4149443797u, 4149443797u}},
+      {80000, 512, 0.1, {3386953142u, 3386953142u},
+       {276002395u, 276002395u}},
+  }};
+  const SimdTier entry_tier = ActiveSimdTier();
+  const int entry_threads = GetGlobalThreadCount();
+  for (const GoldenCase& golden : cases) {
+    Rng data_rng(static_cast<uint64_t>(golden.dimension));
+    // An averaged clipped gradient: norm around C/2 with C = 1.
+    const Tensor gradient = Tensor::Randn(
+        {golden.dimension}, data_rng,
+        static_cast<float>(0.5 / std::sqrt(static_cast<double>(
+                                     golden.dimension))));
+    GeoDpOptions geodp_options;
+    geodp_options.base = BaseOptions(1.0, golden.batch_size, 1.0);
+    geodp_options.beta = golden.beta;
+    const GeoDpPerturber geodp(geodp_options);
+    GeoLaplaceOptions laplace_options;
+    laplace_options.clip_threshold = 1.0;
+    laplace_options.batch_size = golden.batch_size;
+    laplace_options.beta = golden.beta;
+    const GeoLaplacePerturber laplace(laplace_options);
+    for (const SimdTier tier : AvailableSimdTiers()) {
+      SetSimdTier(tier);
+      const auto t = static_cast<size_t>(tier);
+      for (const int threads : {1, 8}) {
+        SetGlobalThreadCount(threads);
+        SCOPED_TRACE("d=" + std::to_string(golden.dimension) + " tier " +
+                     SimdTierName(tier) + " threads " +
+                     std::to_string(threads));
+        Rng geodp_rng(2025);
+        const Tensor release = geodp.Perturb(gradient, geodp_rng);
+        EXPECT_EQ(ReleaseCrc(release), golden.geodp_crc[t]);
+        // The case must reach the underflowed tail: most of it is zero.
+        int64_t zeros = 0;
+        for (int64_t i = 0; i < release.numel(); ++i) {
+          zeros += release[i] == 0.0f;
+        }
+        EXPECT_GT(zeros, release.numel() * 9 / 10);
+        Rng laplace_rng(2026);
+        EXPECT_EQ(ReleaseCrc(laplace.Perturb(gradient, laplace_rng)),
+                  golden.laplace_crc[t]);
+      }
+    }
+  }
+  SetSimdTier(entry_tier);
+  SetGlobalThreadCount(entry_threads);
 }
 
 }  // namespace

@@ -17,6 +17,7 @@
 #include <cmath>
 #include <cstdint>
 #include <memory>
+#include <numbers>
 #include <vector>
 
 #include "base/rng.h"
@@ -333,6 +334,39 @@ TEST_F(SimdKernelTest, SinCosMatchesLibmWithinPolynomialTolerance) {
       }
     });
   }
+}
+
+// ToCartesian's early exit (docs/geometry.md) relies on |sin| and |cos|
+// never exceeding 1, so a running product can only shrink. Sweep the
+// neighbourhoods of the peaks (multiples of pi/2, where a polynomial would
+// overshoot first) plus a wide random range.
+TEST_F(SimdKernelTest, SinCosStaysWithinUnitInterval) {
+  std::vector<double> angles;
+  for (int k = -64; k <= 64; ++k) {
+    double up = k * (std::numbers::pi / 2);
+    double down = up;
+    for (int step = 0; step < 64; ++step) {
+      angles.push_back(up);
+      angles.push_back(down);
+      up = std::nextafter(up, 1e9);
+      down = std::nextafter(down, -1e9);
+    }
+    for (int e = 8; e <= 52; ++e) {
+      angles.push_back(k * (std::numbers::pi / 2) + std::ldexp(1.0, -e));
+      angles.push_back(k * (std::numbers::pi / 2) - std::ldexp(1.0, -e));
+    }
+  }
+  Rng rng(11500);
+  for (int i = 0; i < 100000; ++i) angles.push_back(rng.Gaussian(0.0, 40.0));
+  const auto n = static_cast<int64_t>(angles.size());
+  ForEachTier([&](SimdTier) {
+    std::vector<double> s(angles.size()), c(angles.size());
+    simd::SinCos(angles.data(), s.data(), c.data(), n);
+    for (size_t i = 0; i < angles.size(); ++i) {
+      ASSERT_LE(std::fabs(s[i]), 1.0) << "sin(" << angles[i] << ")";
+      ASSERT_LE(std::fabs(c[i]), 1.0) << "cos(" << angles[i] << ")";
+    }
+  });
 }
 
 TEST_F(SimdKernelTest, Atan2MatchesLibmIncludingAxesAndSignedZero) {

@@ -1,13 +1,19 @@
 // Tests for the hyper-spherical coordinate system (paper Eq. 24-27),
 // including parameterized round-trip property sweeps across dimensions.
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <numbers>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "base/rng.h"
 #include "base/simd/dispatch.h"
+#include "base/simd/kernels.h"
 #include "core/spherical.h"
 #include "tensor/tensor.h"
 #include "tensor/tensor_ops.h"
@@ -15,7 +21,7 @@
 namespace geodp {
 namespace {
 
-constexpr double kPi = 3.14159265358979323846;
+constexpr double kPi = std::numbers::pi;
 
 TEST(SphericalTest, TwoDimensionalKnownAngles) {
   // Paper Example 1: g = (1, sqrt(3)) has theta = pi/3, ||g|| = 2.
@@ -222,6 +228,193 @@ TEST(SphericalTest, CartesianFromExplicitAngles) {
   EXPECT_NEAR(g[0], 0.0, 1e-6);
   EXPECT_NEAR(g[1], 2.0, 1e-6);
   EXPECT_NEAR(g[2], 0.0, 1e-6);
+}
+
+// Test-local copy of the historical ToCartesian: sin/cos of every angle in
+// one batched call, then the full prefix product of sines with no early
+// exit, so the underflowing tail runs through denormal arithmetic. Both
+// SinCos tiers give position-independent results (the AVX2 tail is padded
+// through the vector path), so one full-length call reproduces any
+// blocking of the same kernel.
+Tensor HistoricalToCartesian(const SphericalCoordinates& coords) {
+  const int64_t d = coords.CartesianDim();
+  Tensor g({d});
+  std::vector<double> sins(static_cast<size_t>(d - 1));
+  std::vector<double> coss(static_cast<size_t>(d - 1));
+  simd::SinCos(coords.angles.data(), sins.data(), coss.data(), d - 1);
+  double sin_product = 1.0;
+  for (int64_t z = 0; z < d - 1; ++z) {
+    g[z] = static_cast<float>(coords.magnitude * sin_product *
+                              coss[static_cast<size_t>(z)]);
+    sin_product *= sins[static_cast<size_t>(z)];
+  }
+  g[d - 1] = static_cast<float>(coords.magnitude * sin_product);
+  return g;
+}
+
+// Test-local copy of the historical ToSpherical: full-length suffix-norm
+// and head arrays, one batched sqrt and one batched atan2 over d-2 pairs.
+SphericalCoordinates HistoricalToSpherical(const Tensor& g) {
+  const int64_t d = g.dim(0);
+  SphericalCoordinates coords;
+  coords.angles.assign(static_cast<size_t>(d - 1), 0.0);
+  std::vector<double> tail(static_cast<size_t>(d), 0.0);
+  double sum_sq = 0.0;
+  for (int64_t z = d - 1; z >= 0; --z) {
+    tail[static_cast<size_t>(z)] = sum_sq;
+    sum_sq += static_cast<double>(g[z]) * static_cast<double>(g[z]);
+  }
+  simd::SqrtArray(tail.data(), tail.data(), d);
+  coords.magnitude = std::sqrt(sum_sq);
+  if (coords.magnitude == 0.0) return coords;
+  std::vector<double> head(static_cast<size_t>(d - 2));
+  for (int64_t z = 0; z < d - 2; ++z) {
+    head[static_cast<size_t>(z)] = static_cast<double>(g[z]);
+  }
+  simd::Atan2(tail.data(), head.data(), coords.angles.data(), d - 2);
+  coords.angles[static_cast<size_t>(d - 2)] =
+      std::atan2(static_cast<double>(g[d - 1]), static_cast<double>(g[d - 2]));
+  return coords;
+}
+
+// Number of float elements whose bit patterns differ (so +0 vs -0 counts).
+int64_t BitMismatches(const Tensor& a, const Tensor& b) {
+  if (a.numel() != b.numel()) return -1;
+  int64_t mismatches = 0;
+  for (int64_t i = 0; i < a.numel(); ++i) {
+    if (std::bit_cast<uint32_t>(a[i]) != std::bit_cast<uint32_t>(b[i])) {
+      ++mismatches;
+    }
+  }
+  return mismatches;
+}
+
+// Dimensions for the bit-exactness sweeps: the smallest cases, odd sizes,
+// and sizes whose d-1 angles (ToCartesian) or d-2 atan2 pairs
+// (ToSpherical) sit on either side of multiples of 4, 256, 512 and 1024,
+// so every block or chunk edge an implementation might use is crossed.
+const std::vector<int64_t>& EdgeDims() {
+  static const std::vector<int64_t> dims = {
+      2,   3,   4,   5,   6,   7,    9,    31,   33,   255,  257,  258,
+      259, 260, 511, 513, 514, 515,  516,  1023, 1025, 1026, 1027, 1028,
+      2049, 4099, 9001};
+  return dims;
+}
+
+// Randomized property: ToCartesian is bit-identical to the historical
+// loop on every tier. Magnitudes cover both signs of zero, negative, tiny
+// and huge values; angles cover noisy directions whose sine product
+// underflows mid-vector, angles far outside [0, pi], and angles whose sine
+// is exactly +0 or -0 (so the running product turns into a signed zero).
+TEST(SphericalTest, ToCartesianBitIdenticalToHistoricalLoopOnEveryTier) {
+  const SimdTier entry_tier = ActiveSimdTier();
+  const std::vector<double> magnitudes = {
+      1.0, 3.7, -0.25, -2.5, 0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300,
+      1e-30, 5e-324};
+  for (const SimdTier tier : AvailableSimdTiers()) {
+    SetSimdTier(tier);
+    SCOPED_TRACE(std::string("tier ") + SimdTierName(tier));
+    Rng rng(4242);
+    int64_t coordinates = 0;
+    int64_t negative_zeros = 0;
+    int64_t positive_zeros = 0;
+    for (const int64_t d : EdgeDims()) {
+      for (size_t m = 0; m < magnitudes.size(); ++m) {
+        SphericalCoordinates c;
+        c.magnitude = magnitudes[m];
+        c.angles.resize(static_cast<size_t>(d - 1));
+        // Spread of the angle noise around pi/2: small keeps the product
+        // alive for a long head, large underflows it within a few dozen
+        // coordinates and throws angles well outside [0, pi].
+        const double spread = (m % 3 == 0) ? 0.05 : (m % 3 == 1) ? 0.6 : 4.0;
+        for (auto& angle : c.angles) {
+          const double u = rng.Uniform();
+          if (u < 0.002) {
+            angle = 0.0;  // sin exactly +0
+          } else if (u < 0.004) {
+            angle = -0.0;  // sin exactly -0
+          } else if (u < 0.006) {
+            angle = kPi / 2;  // cos is ~6e-17, not 0
+          } else if (u < 0.008) {
+            angle = -37.0 * kPi;
+          } else {
+            angle = rng.Gaussian(kPi / 2, spread);
+          }
+        }
+        const Tensor expected = HistoricalToCartesian(c);
+        const Tensor actual = ToCartesian(c);
+        ASSERT_EQ(BitMismatches(expected, actual), 0)
+            << "d=" << d << " magnitude=" << c.magnitude;
+        for (int64_t i = 0; i < actual.numel(); ++i) {
+          if (actual[i] == 0.0f) {
+            ++(std::signbit(actual[i]) ? negative_zeros : positive_zeros);
+          }
+        }
+        coordinates += d;
+      }
+    }
+    // The sweep must reach the underflowed tail with both zero signs.
+    EXPECT_GT(negative_zeros, coordinates / 20);
+    EXPECT_GT(positive_zeros, coordinates / 20);
+  }
+  SetSimdTier(entry_tier);
+}
+
+// A long vector whose product underflows early: most of the release is a
+// signed zero, and each sign must still match the historical product's.
+TEST(SphericalTest, ToCartesianUnderflowedTailKeepsHistoricalSigns) {
+  const SimdTier entry_tier = ActiveSimdTier();
+  for (const SimdTier tier : AvailableSimdTiers()) {
+    SetSimdTier(tier);
+    SCOPED_TRACE(std::string("tier ") + SimdTierName(tier));
+    Rng rng(777);
+    SphericalCoordinates c;
+    c.magnitude = -0.031;
+    c.angles.resize(80000);
+    for (auto& angle : c.angles) {
+      angle = rng.Gaussian(kPi / 2, 0.17);
+    }
+    const Tensor expected = HistoricalToCartesian(c);
+    const Tensor actual = ToCartesian(c);
+    EXPECT_EQ(BitMismatches(expected, actual), 0);
+    int64_t zeros = 0;
+    for (int64_t i = 0; i < actual.numel(); ++i) zeros += actual[i] == 0.0f;
+    EXPECT_GT(zeros, actual.numel() / 2);
+  }
+  SetSimdTier(entry_tier);
+}
+
+// ToSpherical is bit-identical to the historical arrays-and-batches
+// version on every tier, including exact zeros in the input (atan2's
+// x == 0 lanes) and all-zero vectors.
+TEST(SphericalTest, ToSphericalBitIdenticalToHistoricalVersionOnEveryTier) {
+  const SimdTier entry_tier = ActiveSimdTier();
+  for (const SimdTier tier : AvailableSimdTiers()) {
+    SetSimdTier(tier);
+    SCOPED_TRACE(std::string("tier ") + SimdTierName(tier));
+    Rng rng(4343);
+    for (const int64_t d : EdgeDims()) {
+      for (int variant = 0; variant < 4; ++variant) {
+        Tensor g = Tensor::Randn({d}, rng, variant == 2 ? 1e-20f : 1.0f);
+        if (variant == 1) {
+          for (int64_t i = 0; i < d; i += 3) g[i] = (i % 2) ? -0.0f : 0.0f;
+        }
+        if (variant == 3) g = Tensor::Zeros({d});
+        const SphericalCoordinates expected = HistoricalToSpherical(g);
+        const SphericalCoordinates actual = ToSpherical(g);
+        ASSERT_EQ(std::memcmp(&expected.magnitude, &actual.magnitude,
+                              sizeof(double)),
+                  0)
+            << "d=" << d << " variant=" << variant;
+        ASSERT_EQ(expected.angles.size(), actual.angles.size());
+        ASSERT_EQ(std::memcmp(expected.angles.data(), actual.angles.data(),
+                              expected.angles.size() * sizeof(double)),
+                  0)
+            << "d=" << d << " variant=" << variant;
+      }
+    }
+  }
+  SetSimdTier(entry_tier);
 }
 
 }  // namespace
