@@ -1,8 +1,9 @@
 // The audited home of every type pun in the codebase (geodp_lint R6).
 //
-// Serialization and the codecs need to view trivially-copyable objects as
-// bytes and back; POSIX socket calls need the sockaddr pun. Scattered
-// reinterpret_casts make those sites impossible to audit, so R6 bans the
+// Viewing trivially-copyable objects as bytes and back needs a pun, and so
+// do POSIX socket calls (sockaddr). The binary formats avoid both: they go
+// through base/byte_io.h, which copies with std::memcpy. Scattered
+// reinterpret_casts make pun sites impossible to audit, so R6 bans the
 // keyword everywhere except this header, and the helpers below carry the
 // safety argument once:
 //

@@ -25,21 +25,14 @@ const std::array<uint32_t, 256>& Table() {
 
 }  // namespace
 
-uint32_t Crc32Init() { return 0xFFFFFFFFu; }
-
-uint32_t Crc32Update(uint32_t state, const void* data, std::size_t size) {
+uint32_t Crc32(const void* data, std::size_t size) {
   const auto* bytes = static_cast<const unsigned char*>(data);
   const auto& table = Table();
+  uint32_t state = 0xFFFFFFFFu;
   for (std::size_t i = 0; i < size; ++i) {
     state = table[(state ^ bytes[i]) & 0xFFu] ^ (state >> 8);
   }
-  return state;
-}
-
-uint32_t Crc32Finish(uint32_t state) { return state ^ 0xFFFFFFFFu; }
-
-uint32_t Crc32(const void* data, std::size_t size) {
-  return Crc32Finish(Crc32Update(Crc32Init(), data, size));
+  return state ^ 0xFFFFFFFFu;
 }
 
 }  // namespace geodp

@@ -15,12 +15,6 @@ namespace geodp {
 /// crc32(0, data, size).
 uint32_t Crc32(const void* data, std::size_t size);
 
-/// Incremental form: feeds another block into a running CRC. Start from
-/// `Crc32Init()` and finish with `Crc32Finish()`.
-uint32_t Crc32Init();
-uint32_t Crc32Update(uint32_t state, const void* data, std::size_t size);
-uint32_t Crc32Finish(uint32_t state);
-
 }  // namespace geodp
 
 #endif  // GEODP_BASE_CRC32_H_

@@ -5,17 +5,19 @@
 #include <cstring>
 #include <cstdio>
 #include <filesystem>
+#include <string_view>
 #include <utility>
 
+#include "base/byte_io.h"
 #include "base/crc32.h"
 #include "base/fault_injection.h"
 #include "base/io/file_io.h"
-#include "ckpt/byte_io.h"
+#include "tensor/serialization.h"
 
 namespace geodp {
 namespace {
 
-constexpr std::array<char, 4> kMagic = {'G', 'D', 'P', 'K'};
+constexpr std::string_view kMagic = "GDPK";
 constexpr uint32_t kVersion = 1;
 // magic + version + payload_len + crc
 constexpr uint64_t kEnvelopeBytes = 4 + 4 + 8 + 4;
@@ -40,6 +42,42 @@ RngState ReadRngState(ByteReader& r) {
   return state;
 }
 
+// u64 count, then the raw elements.
+template <typename T>
+void WriteVector(ByteWriter& w, const std::vector<T>& values) {
+  w.WriteU64(values.size());
+  w.WriteBytes(values.data(), values.size() * sizeof(T));
+}
+
+template <typename T>
+std::vector<T> ReadVector(ByteReader& r) {
+  const uint64_t count = r.ReadU64();
+  if (count > r.remaining() / sizeof(T)) {
+    r.Fail();
+    return {};
+  }
+  std::vector<T> values(static_cast<size_t>(count));
+  const std::string_view bytes = r.ReadBytes(count * sizeof(T));
+  // An empty vector's data() may be null, and memcpy's pointers must not
+  // be, even for zero bytes.
+  if (count > 0) std::memcpy(values.data(), bytes.data(), bytes.size());
+  return values;
+}
+
+// The payload's own tensor encoding: the shape as an i64 vector, then the
+// raw float32 data. The enclosing checkpoint's CRC covers it, so there is
+// no per-tensor trailer as in GDPT.
+void WritePayloadTensor(ByteWriter& w, const Tensor& tensor) {
+  WriteVector(w, tensor.shape());
+  w.WriteBytes(tensor.data(),
+               static_cast<size_t>(tensor.numel()) * sizeof(float));
+}
+
+Tensor ReadPayloadTensor(ByteReader& r) {
+  StatusOr<Tensor> tensor = ReadTensorData(ReadVector<int64_t>(r), r);
+  return tensor.ok() ? std::move(tensor).value() : Tensor();
+}
+
 void WriteBoolVector(ByteWriter& w, const std::vector<bool>& values) {
   w.WriteU64(values.size());
   for (const bool value : values) w.WriteBool(value);
@@ -59,8 +97,8 @@ std::string EncodePayload(const TrainingCheckpoint& c) {
   w.WriteI64(c.next_attempt);
   w.WriteI64(c.accepted_updates);
 
-  w.WriteI64Vector(c.loss_iterations);
-  w.WriteDoubleVector(c.loss_history);
+  WriteVector(w, c.loss_iterations);
+  WriteVector(w, c.loss_history);
   w.WriteI64(c.empty_lots);
   w.WriteI64(c.nonfinite_skipped);
   w.WriteI64(c.sur_accepted);
@@ -70,24 +108,24 @@ std::string EncodePayload(const TrainingCheckpoint& c) {
   w.WriteU64(c.param_names.size());
   for (size_t i = 0; i < c.param_names.size(); ++i) {
     w.WriteString(c.param_names[i]);
-    w.WriteTensor(c.param_values[i]);
+    WritePayloadTensor(w, c.param_values[i]);
   }
 
   WriteRngState(w, c.noise_rng);
   WriteRngState(w, c.uniform_sampler.rng);
-  w.WriteI64Vector(c.uniform_sampler.order);
+  WriteVector(w, c.uniform_sampler.order);
   w.WriteI64(c.uniform_sampler.cursor);
   WriteRngState(w, c.poisson_rng);
   WriteRngState(w, c.importance_sampler.rng);
-  w.WriteDoubleVector(c.importance_sampler.weights);
+  WriteVector(w, c.importance_sampler.weights);
   WriteBoolVector(w, c.importance_sampler.seen);
 
-  w.WriteTensor(c.adam.m);
-  w.WriteTensor(c.adam.v);
+  WritePayloadTensor(w, c.adam.m);
+  WritePayloadTensor(w, c.adam.v);
   w.WriteI64(c.adam.step);
 
-  w.WriteI64Vector(c.accountant_orders);
-  w.WriteDoubleVector(c.accountant_rdp);
+  WriteVector(w, c.accountant_orders);
+  WriteVector(w, c.accountant_rdp);
   w.WriteI64(c.accountant_steps);
   w.WriteU64(c.ledger_events.size());
   for (const PrivacyEvent& event : c.ledger_events) {
@@ -100,21 +138,21 @@ std::string EncodePayload(const TrainingCheckpoint& c) {
   }
 
   w.WriteI64(c.beta_controller.observations);
-  w.WriteDoubleVector(c.beta_controller.min_angle);
-  w.WriteDoubleVector(c.beta_controller.max_angle);
+  WriteVector(w, c.beta_controller.min_angle);
+  WriteVector(w, c.beta_controller.max_angle);
 
   w.WriteString(c.options_fingerprint);
   return w.TakeBytes();
 }
 
-StatusOr<TrainingCheckpoint> DecodePayload(const std::string& payload) {
+StatusOr<TrainingCheckpoint> DecodePayload(std::string_view payload) {
   ByteReader r(payload);
   TrainingCheckpoint c;
   c.next_attempt = r.ReadI64();
   c.accepted_updates = r.ReadI64();
 
-  c.loss_iterations = r.ReadI64Vector();
-  c.loss_history = r.ReadDoubleVector();
+  c.loss_iterations = ReadVector<int64_t>(r);
+  c.loss_history = ReadVector<double>(r);
   c.empty_lots = r.ReadI64();
   c.nonfinite_skipped = r.ReadI64();
   c.sur_accepted = r.ReadI64();
@@ -128,24 +166,24 @@ StatusOr<TrainingCheckpoint> DecodePayload(const std::string& payload) {
   }
   for (uint64_t i = 0; i < param_count && !r.failed(); ++i) {
     c.param_names.push_back(r.ReadString());
-    c.param_values.push_back(r.ReadTensor());
+    c.param_values.push_back(ReadPayloadTensor(r));
   }
 
   c.noise_rng = ReadRngState(r);
   c.uniform_sampler.rng = ReadRngState(r);
-  c.uniform_sampler.order = r.ReadI64Vector();
+  c.uniform_sampler.order = ReadVector<int64_t>(r);
   c.uniform_sampler.cursor = r.ReadI64();
   c.poisson_rng = ReadRngState(r);
   c.importance_sampler.rng = ReadRngState(r);
-  c.importance_sampler.weights = r.ReadDoubleVector();
+  c.importance_sampler.weights = ReadVector<double>(r);
   c.importance_sampler.seen = ReadBoolVector(r);
 
-  c.adam.m = r.ReadTensor();
-  c.adam.v = r.ReadTensor();
+  c.adam.m = ReadPayloadTensor(r);
+  c.adam.v = ReadPayloadTensor(r);
   c.adam.step = r.ReadI64();
 
-  c.accountant_orders = r.ReadI64Vector();
-  c.accountant_rdp = r.ReadDoubleVector();
+  c.accountant_orders = ReadVector<int64_t>(r);
+  c.accountant_rdp = ReadVector<double>(r);
   c.accountant_steps = r.ReadI64();
   const uint64_t event_count = r.ReadU64();
   if (r.failed() || event_count > payload.size()) {
@@ -168,8 +206,8 @@ StatusOr<TrainingCheckpoint> DecodePayload(const std::string& payload) {
   }
 
   c.beta_controller.observations = r.ReadI64();
-  c.beta_controller.min_angle = r.ReadDoubleVector();
-  c.beta_controller.max_angle = r.ReadDoubleVector();
+  c.beta_controller.min_angle = ReadVector<double>(r);
+  c.beta_controller.max_angle = ReadVector<double>(r);
 
   c.options_fingerprint = r.ReadString();
 
@@ -182,16 +220,6 @@ StatusOr<TrainingCheckpoint> DecodePayload(const std::string& payload) {
         "checkpoint progress counters are inconsistent");
   }
   return c;
-}
-
-// Appends `value` to `out` in little-endian byte order regardless of host
-// endianness (the repo targets little-endian hosts; this keeps the format
-// well-defined anyway).
-template <typename T>
-void AppendPod(std::string& out, T value) {
-  char bytes[sizeof(T)];
-  std::memcpy(bytes, &value, sizeof(T));
-  out.append(bytes, sizeof(T));
 }
 
 // Parses the attempt number out of "ckpt_000000123.gdpk"; -1 when the name
@@ -256,13 +284,13 @@ Status SaveTrainingCheckpoint(const TrainingCheckpoint& checkpoint,
   if (payload.size() > kMaxPayloadBytes) {
     return Status::InvalidArgument("checkpoint payload exceeds size bound");
   }
-  std::string file_bytes;
-  file_bytes.reserve(payload.size() + kEnvelopeBytes);
-  file_bytes.append(kMagic.data(), kMagic.size());
-  AppendPod<uint32_t>(file_bytes, kVersion);
-  AppendPod<uint64_t>(file_bytes, payload.size());
-  file_bytes.append(payload);
-  AppendPod<uint32_t>(file_bytes, Crc32(payload.data(), payload.size()));
+  ByteWriter file;
+  file.WriteBytes(kMagic.data(), kMagic.size());
+  file.WriteU32(kVersion);
+  file.WriteU64(payload.size());
+  file.WriteBytes(payload.data(), payload.size());
+  file.WriteU32(Crc32(payload.data(), payload.size()));
+  std::string file_bytes = file.TakeBytes();
 
   switch (faults.Fire("ckpt.write")) {
     case FaultInjector::Action::kShortWrite:
@@ -299,30 +327,24 @@ StatusOr<TrainingCheckpoint> LoadTrainingCheckpoint(const std::string& path) {
   if (bytes.size() < kEnvelopeBytes) {
     return Status::InvalidArgument("truncated checkpoint file: " + path);
   }
-  if (std::memcmp(bytes.data(), kMagic.data(), kMagic.size()) != 0) {
+  ByteReader r(bytes);
+  if (r.ReadBytes(kMagic.size()) != kMagic) {
     return Status::InvalidArgument("bad checkpoint magic: " + path);
   }
-  uint32_t version = 0;
-  std::memcpy(&version, bytes.data() + 4, sizeof(version));
-  if (version != kVersion) {
+  if (r.ReadU32() != kVersion) {
     return Status::InvalidArgument("unsupported checkpoint version: " + path);
   }
-  uint64_t payload_length = 0;
-  std::memcpy(&payload_length, bytes.data() + 8, sizeof(payload_length));
+  const uint64_t payload_length = r.ReadU64();
   if (payload_length > kMaxPayloadBytes ||
-      payload_length != bytes.size() - kEnvelopeBytes) {
+      payload_length != r.remaining() - sizeof(uint32_t)) {
     return Status::InvalidArgument("checkpoint length mismatch: " + path);
   }
-  const char* payload_begin = bytes.data() + 16;
-  uint32_t stored_crc = 0;
-  std::memcpy(&stored_crc, payload_begin + payload_length,
-              sizeof(stored_crc));
-  if (stored_crc != Crc32(payload_begin, payload_length)) {
+  const std::string_view payload = r.ReadBytes(payload_length);
+  if (r.ReadU32() != Crc32(payload.data(), payload.size())) {
     return Status::InvalidArgument("checkpoint checksum mismatch: " + path);
   }
 
-  StatusOr<TrainingCheckpoint> decoded = DecodePayload(
-      std::string(payload_begin, static_cast<size_t>(payload_length)));
+  StatusOr<TrainingCheckpoint> decoded = DecodePayload(payload);
   if (!decoded.ok()) {
     return Status(decoded.status().code(),
                   decoded.status().message() + ": " + path);

@@ -1,12 +1,10 @@
 #include "data/mnist_idx.h"
 
 #include <algorithm>
-#include <array>
 #include <cstdint>
-#include <sstream>
-#include <vector>
+#include <string_view>
 
-#include "base/byte_view.h"
+#include "base/byte_io.h"
 #include "base/io/file_io.h"
 
 namespace geodp {
@@ -26,24 +24,20 @@ StatusOr<std::string> ReadIdxFile(const std::string& path) {
 constexpr uint32_t kImageMagic = 2051;  // IDX3: unsigned byte, 3 dims
 constexpr uint32_t kLabelMagic = 2049;  // IDX1: unsigned byte, 1 dim
 
-bool ReadBigEndian32(std::istream& in, uint32_t* value) {
-  std::array<unsigned char, 4> bytes;
-  in.read(AsWritableBytes(bytes).data, 4);
-  if (!in.good()) return false;
-  *value = (static_cast<uint32_t>(bytes[0]) << 24) |
-           (static_cast<uint32_t>(bytes[1]) << 16) |
-           (static_cast<uint32_t>(bytes[2]) << 8) |
-           static_cast<uint32_t>(bytes[3]);
-  return true;
+// IDX header fields are big-endian, unlike the repo's other formats.
+// Returns 0 once the reader has failed.
+uint32_t ReadBigEndian32(ByteReader& in) {
+  uint32_t value = 0;
+  for (const char byte : in.ReadBytes(4)) {
+    value = (value << 8) | static_cast<unsigned char>(byte);
+  }
+  return value;
 }
 
-void WriteBigEndian32(std::ostream& out, uint32_t value) {
-  const std::array<unsigned char, 4> bytes = {
-      static_cast<unsigned char>(value >> 24),
-      static_cast<unsigned char>(value >> 16),
-      static_cast<unsigned char>(value >> 8),
-      static_cast<unsigned char>(value)};
-  out.write(AsBytes(bytes).data, 4);
+void WriteBigEndian32(ByteWriter& out, uint32_t value) {
+  for (int shift = 24; shift >= 0; shift -= 8) {
+    out.WriteU8(static_cast<uint8_t>(value >> shift));
+  }
 }
 
 }  // namespace
@@ -55,28 +49,27 @@ StatusOr<InMemoryDataset> LoadMnistIdx(const std::string& images_path,
   if (!image_bytes.ok()) return image_bytes.status();
   StatusOr<std::string> label_bytes = ReadIdxFile(labels_path);
   if (!label_bytes.ok()) return label_bytes.status();
-  std::istringstream images(std::move(image_bytes).value(),
-                            std::ios::binary);
-  std::istringstream labels(std::move(label_bytes).value(),
-                            std::ios::binary);
+  ByteReader images(image_bytes.value());
+  ByteReader labels(label_bytes.value());
 
-  uint32_t magic = 0, image_count = 0, rows = 0, cols = 0;
-  if (!ReadBigEndian32(images, &magic) || magic != kImageMagic) {
+  if (ReadBigEndian32(images) != kImageMagic) {
     return Status::InvalidArgument("bad image magic in " + images_path);
   }
-  if (!ReadBigEndian32(images, &image_count) ||
-      !ReadBigEndian32(images, &rows) || !ReadBigEndian32(images, &cols)) {
+  const uint32_t image_count = ReadBigEndian32(images);
+  const uint32_t rows = ReadBigEndian32(images);
+  const uint32_t cols = ReadBigEndian32(images);
+  if (images.failed()) {
     return Status::InvalidArgument("truncated image header");
   }
   if (rows == 0 || cols == 0 || rows > 4096 || cols > 4096) {
     return Status::InvalidArgument("implausible image dimensions");
   }
 
-  uint32_t label_magic = 0, label_count = 0;
-  if (!ReadBigEndian32(labels, &label_magic) || label_magic != kLabelMagic) {
+  if (ReadBigEndian32(labels) != kLabelMagic) {
     return Status::InvalidArgument("bad label magic in " + labels_path);
   }
-  if (!ReadBigEndian32(labels, &label_count)) {
+  const uint32_t label_count = ReadBigEndian32(labels);
+  if (labels.failed()) {
     return Status::InvalidArgument("truncated label header");
   }
   if (label_count != image_count) {
@@ -87,25 +80,22 @@ StatusOr<InMemoryDataset> LoadMnistIdx(const std::string& images_path,
   if (max_examples > 0) count = std::min<int64_t>(count, max_examples);
 
   const int64_t pixels = static_cast<int64_t>(rows) * cols;
-  std::vector<unsigned char> image_buffer(static_cast<size_t>(pixels));
   InMemoryDataset dataset;
   for (int64_t i = 0; i < count; ++i) {
-    images.read(AsWritableBytes(image_buffer.data(),
-                                image_buffer.size()).data,
-                static_cast<std::streamsize>(pixels));
-    char label_byte = 0;
-    labels.read(&label_byte, 1);
-    if (!images.good() || !labels.good()) {
+    const std::string_view pixel_bytes =
+        images.ReadBytes(static_cast<uint64_t>(pixels));
+    const uint8_t label = labels.ReadU8();
+    if (images.failed() || labels.failed()) {
       return Status::InvalidArgument("truncated IDX data at example " +
                                      std::to_string(i));
     }
     Tensor image({1, static_cast<int64_t>(rows), static_cast<int64_t>(cols)});
     for (int64_t p = 0; p < pixels; ++p) {
-      image[p] = static_cast<float>(image_buffer[static_cast<size_t>(p)]) /
+      image[p] = static_cast<float>(static_cast<unsigned char>(
+                     pixel_bytes[static_cast<size_t>(p)])) /
                  255.0f;
     }
-    dataset.Add(std::move(image),
-                static_cast<int64_t>(static_cast<unsigned char>(label_byte)));
+    dataset.Add(std::move(image), static_cast<int64_t>(label));
   }
   return dataset;
 }
@@ -122,8 +112,8 @@ Status SaveMnistIdx(const InMemoryDataset& dataset,
   }
   const int64_t rows = first.dim(1), cols = first.dim(2);
 
-  std::ostringstream images(std::ios::binary);
-  std::ostringstream labels(std::ios::binary);
+  ByteWriter images;
+  ByteWriter labels;
 
   WriteBigEndian32(images, kImageMagic);
   WriteBigEndian32(images, static_cast<uint32_t>(dataset.size()));
@@ -136,20 +126,14 @@ Status SaveMnistIdx(const InMemoryDataset& dataset,
     const Tensor& image = dataset.image(i);
     for (int64_t p = 0; p < image.numel(); ++p) {
       const float clamped = std::clamp(image[p], 0.0f, 1.0f);
-      const unsigned char byte =
-          static_cast<unsigned char>(clamped * 255.0f + 0.5f);
-      images.write(AsBytes(byte).data, 1);
+      images.WriteU8(static_cast<uint8_t>(clamped * 255.0f + 0.5f));
     }
-    const char label_byte = static_cast<char>(dataset.label(i));
-    labels.write(&label_byte, 1);
-  }
-  if (!images.good() || !labels.good()) {
-    return Status::Internal("IDX write failed");
+    labels.WriteU8(static_cast<uint8_t>(dataset.label(i)));
   }
   const Status images_written = AtomicWriteFile(
-      images_path, images.str(), RetryPolicy{}, "data.idx_write");
+      images_path, images.bytes(), RetryPolicy{}, "data.idx_write");
   if (!images_written.ok()) return images_written;
-  return AtomicWriteFile(labels_path, labels.str(), RetryPolicy{},
+  return AtomicWriteFile(labels_path, labels.bytes(), RetryPolicy{},
                          "data.idx_write");
 }
 

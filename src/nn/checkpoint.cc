@@ -1,49 +1,33 @@
 #include "nn/checkpoint.h"
 
-#include <array>
 #include <cstdint>
-#include <sstream>
+#include <string_view>
 #include <vector>
 
-#include "base/byte_view.h"
+#include "base/byte_io.h"
 #include "base/io/file_io.h"
 #include "tensor/serialization.h"
 
 namespace geodp {
 namespace {
 
-constexpr std::array<char, 4> kMagic = {'G', 'D', 'P', 'C'};
-
-void WriteString(std::ostream& out, const std::string& value) {
-  const uint32_t size = static_cast<uint32_t>(value.size());
-  out.write(AsBytes(size).data, sizeof(size));
-  out.write(value.data(), static_cast<std::streamsize>(value.size()));
-}
-
-bool ReadString(std::istream& in, std::string* value) {
-  uint32_t size = 0;
-  in.read(AsWritableBytes(size).data, sizeof(size));
-  if (!in.good() || size > 4096) return false;
-  value->resize(size);
-  in.read(value->data(), static_cast<std::streamsize>(size));
-  return in.good();
-}
+// "GDPC", u32 parameter count, then per parameter: u32 name length, the
+// name, and the value as a GDPT tensor.
+constexpr std::string_view kMagic = "GDPC";
 
 }  // namespace
 
 Status SaveCheckpoint(Layer& model, const std::string& path) {
-  std::ostringstream out(std::ios::binary);
-  out.write(kMagic.data(), kMagic.size());
+  ByteWriter out;
+  out.WriteBytes(kMagic.data(), kMagic.size());
   const std::vector<Parameter*> params = model.Parameters();
-  const uint32_t count = static_cast<uint32_t>(params.size());
-  out.write(AsBytes(count).data, sizeof(count));
+  out.WriteU32(static_cast<uint32_t>(params.size()));
   for (Parameter* p : params) {
-    WriteString(out, p->name);
-    const Status status = WriteTensor(p->value, out);
-    if (!status.ok()) return status;
+    out.WriteU32(static_cast<uint32_t>(p->name.size()));
+    out.WriteBytes(p->name.data(), p->name.size());
+    WriteTensor(p->value, out);
   }
-  if (!out.good()) return Status::Internal("checkpoint write failed");
-  return AtomicWriteFile(path, out.str(), RetryPolicy{}, "nn.ckpt_write");
+  return AtomicWriteFile(path, out.bytes(), RetryPolicy{}, "nn.ckpt_write");
 }
 
 Status LoadCheckpoint(Layer& model, const std::string& path) {
@@ -55,16 +39,12 @@ Status LoadCheckpoint(Layer& model, const std::string& path) {
     }
     return read.status();
   }
-  std::istringstream in(std::move(read).value(), std::ios::binary);
-  std::array<char, 4> magic;
-  in.read(magic.data(), magic.size());
-  if (!in.good() || magic[0] != 'G' || magic[1] != 'D' || magic[2] != 'P' ||
-      magic[3] != 'C') {
+  ByteReader in(read.value());
+  if (in.ReadBytes(kMagic.size()) != kMagic) {
     return Status::InvalidArgument("bad checkpoint magic");
   }
-  uint32_t count = 0;
-  in.read(AsWritableBytes(count).data, sizeof(count));
-  if (!in.good()) {
+  const uint32_t count = in.ReadU32();
+  if (in.failed()) {
     return Status::InvalidArgument("truncated checkpoint header");
   }
   const std::vector<Parameter*> params = model.Parameters();
@@ -76,13 +56,12 @@ Status LoadCheckpoint(Layer& model, const std::string& path) {
   std::vector<Tensor> values;
   values.reserve(params.size());
   for (Parameter* p : params) {
-    std::string name;
-    if (!ReadString(in, &name)) {
-      return Status::InvalidArgument("truncated checkpoint");
-    }
+    const std::string_view name = in.ReadBytes(in.ReadU32());
+    if (in.failed()) return Status::InvalidArgument("truncated checkpoint");
     if (name != p->name) {
       return Status::FailedPrecondition("parameter name mismatch: expected " +
-                                        p->name + ", found " + name);
+                                        p->name + ", found " +
+                                        std::string(name));
     }
     StatusOr<Tensor> tensor = ReadTensor(in);
     if (!tensor.ok()) return tensor.status();
@@ -91,6 +70,9 @@ Status LoadCheckpoint(Layer& model, const std::string& path) {
                                         p->name);
     }
     values.push_back(std::move(tensor).value());
+  }
+  if (in.remaining() != 0) {
+    return Status::InvalidArgument("trailing bytes after checkpoint");
   }
   for (size_t i = 0; i < params.size(); ++i) {
     params[i]->value = std::move(values[i]);

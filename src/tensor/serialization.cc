@@ -1,189 +1,95 @@
 #include "tensor/serialization.h"
 
-#include <array>
-#include <cstdint>
 #include <cstring>
-#include <istream>
-#include <ostream>
-#include <sstream>
-#include <vector>
+#include <string_view>
 
-#include "base/byte_view.h"
 #include "base/crc32.h"
-#include "base/io/file_io.h"
 
 namespace geodp {
 namespace {
 
-constexpr std::array<char, 4> kMagic = {'G', 'D', 'P', 'T'};
+constexpr std::string_view kMagic = "GDPT";
 // v1: magic, version, ndim, extents, raw float32 data.
-// v2 appends an integrity trailer: u64 payload length (bytes from magic
-// through the end of the data) and the CRC-32 of those bytes, so torn
-// writes and bit flips fail loudly at read time. v1 files (no trailer)
-// are still readable.
+// v2 appends the integrity trailer, so torn writes and bit flips fail
+// loudly at read time.
 constexpr uint32_t kLegacyVersion = 1;
 constexpr uint32_t kVersion = 2;
-// Refuses absurd inputs so a corrupt header cannot trigger huge allocations.
+// Refuse absurd shapes, so a corrupt header is rejected before its data.
 constexpr uint32_t kMaxDims = 16;
 constexpr int64_t kMaxElements = int64_t{1} << 34;
-// Tensor data is read in bounded chunks: a corrupt extent then fails with
-// "truncated" after a small allocation instead of attempting to reserve
-// the full (bogus) element count up front.
-constexpr size_t kReadChunkBytes = size_t{1} << 20;
-
-template <typename T>
-void WritePod(std::ostream& out, const T& value, uint32_t& crc) {
-  const ByteSpan bytes = AsBytes(value);
-  out.write(bytes.data, static_cast<std::streamsize>(bytes.size));
-  crc = Crc32Update(crc, bytes.data, bytes.size);
-}
-
-template <typename T>
-bool ReadPod(std::istream& in, T* value, uint32_t& crc) {
-  const MutableByteSpan bytes = AsWritableBytes(*value);
-  in.read(bytes.data, static_cast<std::streamsize>(bytes.size));
-  if (!in.good()) return false;
-  crc = Crc32Update(crc, value, sizeof(T));
-  return true;
-}
-
-// Reads exactly `bytes` into `data`, growing it in bounded chunks and
-// updating `crc`. Growing as the bytes actually arrive (instead of
-// resizing to the full claimed count up front) means a corrupt extent
-// fails with "truncated" after at most one chunk past the real file
-// size, rather than zero-filling a multi-gigabyte allocation first.
-// Returns false on a short read.
-bool ReadDataChunked(std::istream& in, std::vector<float>& data,
-                     size_t bytes, uint32_t& crc) {
-  size_t done = 0;
-  while (done < bytes) {
-    const size_t chunk = std::min(kReadChunkBytes, bytes - done);
-    data.resize((done + chunk) / sizeof(float));
-    char* dest = AsWritableBytes(data.data(), data.size()).data + done;
-    in.read(dest, static_cast<std::streamsize>(chunk));
-    const auto got = static_cast<size_t>(in.gcount());
-    if (got < chunk) return false;
-    crc = Crc32Update(crc, dest, got);
-    done += got;
-  }
-  return true;
-}
 
 }  // namespace
 
-Status WriteTensor(const Tensor& tensor, std::ostream& out) {
-  uint32_t crc = Crc32Init();
-  out.write(kMagic.data(), kMagic.size());
-  crc = Crc32Update(crc, kMagic.data(), kMagic.size());
-  uint64_t payload_length = kMagic.size();
-  WritePod(out, kVersion, crc);
-  payload_length += sizeof(kVersion);
-  const uint32_t ndim = static_cast<uint32_t>(tensor.ndim());
-  WritePod(out, ndim, crc);
-  payload_length += sizeof(ndim);
-  for (int i = 0; i < tensor.ndim(); ++i) {
-    WritePod(out, static_cast<int64_t>(tensor.dim(i)), crc);
-    payload_length += sizeof(int64_t);
-  }
-  const size_t data_bytes =
-      static_cast<size_t>(tensor.numel()) * sizeof(float);
-  if (data_bytes > 0) {
-    out.write(AsBytes(tensor.data(), static_cast<size_t>(tensor.numel())).data,
-              static_cast<std::streamsize>(data_bytes));
-    crc = Crc32Update(crc, tensor.data(), data_bytes);
-  }
-  payload_length += data_bytes;
-  // Integrity trailer (v2): payload length then CRC-32 of the payload.
-  out.write(AsBytes(payload_length).data, sizeof(payload_length));
-  const uint32_t checksum = Crc32Finish(crc);
-  out.write(AsBytes(checksum).data, sizeof(checksum));
-  if (!out.good()) return Status::Internal("stream write failed");
-  return Status::Ok();
+void WriteTensor(const Tensor& tensor, ByteWriter& out) {
+  const size_t start = out.position();
+  out.WriteBytes(kMagic.data(), kMagic.size());
+  out.WriteU32(kVersion);
+  out.WriteU32(static_cast<uint32_t>(tensor.ndim()));
+  for (const int64_t extent : tensor.shape()) out.WriteI64(extent);
+  out.WriteBytes(tensor.data(),
+                 static_cast<size_t>(tensor.numel()) * sizeof(float));
+  const std::string_view payload = out.Since(start);
+  const uint64_t length = payload.size();
+  const uint32_t crc = Crc32(payload.data(), payload.size());
+  out.WriteU64(length);
+  out.WriteU32(crc);
 }
 
-StatusOr<Tensor> ReadTensor(std::istream& in) {
-  uint32_t crc = Crc32Init();
-  std::array<char, 4> magic;
-  in.read(magic.data(), magic.size());
-  if (!in.good() ||
-      std::memcmp(magic.data(), kMagic.data(), kMagic.size()) != 0) {
+StatusOr<Tensor> ReadTensor(ByteReader& in) {
+  const size_t start = in.position();
+  if (in.ReadBytes(kMagic.size()) != kMagic) {
     return Status::InvalidArgument("bad tensor magic");
   }
-  crc = Crc32Update(crc, magic.data(), magic.size());
-  uint64_t payload_length = magic.size();
-  uint32_t version = 0;
-  if (!ReadPod(in, &version, crc) ||
-      (version != kLegacyVersion && version != kVersion)) {
+  const uint32_t version = in.ReadU32();
+  if (version != kLegacyVersion && version != kVersion) {
     return Status::InvalidArgument("unsupported tensor version");
   }
-  payload_length += sizeof(version);
-  uint32_t ndim = 0;
-  if (!ReadPod(in, &ndim, crc) || ndim > kMaxDims) {
+  const uint32_t ndim = in.ReadU32();
+  if (in.failed() || ndim > kMaxDims) {
     return Status::InvalidArgument("bad tensor rank");
   }
-  payload_length += sizeof(ndim);
   std::vector<int64_t> shape(ndim);
-  // An empty (default-constructed) tensor has rank 0 and holds no data;
-  // it is not a rank-0 scalar.
-  int64_t numel = ndim == 0 ? 0 : 1;
-  for (uint32_t i = 0; i < ndim; ++i) {
-    if (!ReadPod(in, &shape[i], crc) || shape[i] <= 0) {
+  for (int64_t& extent : shape) extent = in.ReadI64();
+  StatusOr<Tensor> tensor = ReadTensorData(std::move(shape), in);
+  if (!tensor.ok() || version == kLegacyVersion) return tensor;
+
+  const std::string_view payload = in.Since(start);
+  const uint64_t stored_length = in.ReadU64();
+  const uint32_t stored_crc = in.ReadU32();
+  if (in.failed()) {
+    return Status::InvalidArgument("truncated tensor trailer");
+  }
+  if (stored_length != payload.size()) {
+    return Status::InvalidArgument("tensor payload length mismatch");
+  }
+  if (stored_crc != Crc32(payload.data(), payload.size())) {
+    return Status::InvalidArgument("tensor checksum mismatch");
+  }
+  return tensor;
+}
+
+StatusOr<Tensor> ReadTensorData(std::vector<int64_t> shape, ByteReader& in) {
+  // An empty shape is an empty (default-constructed) tensor, not a rank-0
+  // scalar; FromVector would read it as the latter.
+  if (shape.empty()) return Tensor();
+  int64_t numel = 1;
+  for (const int64_t extent : shape) {
+    if (extent <= 0) {
+      in.Fail();
       return Status::InvalidArgument("bad tensor extent");
     }
-    payload_length += sizeof(int64_t);
-    numel *= shape[i];
-    if (numel > kMaxElements) {
+    if (numel > kMaxElements / extent) {
+      in.Fail();
       return Status::InvalidArgument("tensor too large");
     }
+    numel *= extent;
   }
-  const size_t data_bytes = static_cast<size_t>(numel) * sizeof(float);
-  std::vector<float> data;
-  if (!ReadDataChunked(in, data, data_bytes, crc)) {
-    return Status::InvalidArgument("truncated tensor data");
-  }
-  payload_length += data_bytes;
-  if (version == kVersion) {
-    uint64_t stored_length = 0;
-    uint32_t stored_crc = 0;
-    in.read(AsWritableBytes(stored_length).data, sizeof(stored_length));
-    in.read(AsWritableBytes(stored_crc).data, sizeof(stored_crc));
-    if (!in.good() && !in.eof()) {
-      return Status::InvalidArgument("truncated tensor trailer");
-    }
-    if (static_cast<size_t>(in.gcount()) != sizeof(stored_crc)) {
-      return Status::InvalidArgument("truncated tensor trailer");
-    }
-    if (stored_length != payload_length) {
-      return Status::InvalidArgument("tensor payload length mismatch");
-    }
-    if (stored_crc != Crc32Finish(crc)) {
-      return Status::InvalidArgument("tensor checksum mismatch");
-    }
-  }
-  // A rank-0 stream is an empty (default-constructed) tensor;
-  // FromVector would treat the empty shape as a scalar.
-  if (shape.empty()) return Tensor();
+  const std::string_view bytes =
+      in.ReadBytes(static_cast<uint64_t>(numel) * sizeof(float));
+  if (in.failed()) return Status::InvalidArgument("truncated tensor data");
+  std::vector<float> data(static_cast<size_t>(numel));
+  std::memcpy(data.data(), bytes.data(), bytes.size());
   return Tensor::FromVector(std::move(shape), std::move(data));
-}
-
-Status SaveTensorToFile(const Tensor& tensor, const std::string& path) {
-  std::ostringstream out(std::ios::binary);
-  const Status written = WriteTensor(tensor, out);
-  if (!written.ok()) return written;
-  return AtomicWriteFile(path, out.str(), RetryPolicy{}, "tensor.file_write");
-}
-
-StatusOr<Tensor> LoadTensorFromFile(const std::string& path) {
-  StatusOr<std::string> read =
-      ReadFileWithRetry(path, RetryPolicy{}, "tensor.file_read");
-  if (!read.ok()) {
-    if (read.status().code() == StatusCode::kNotFound) {
-      return Status::NotFound("cannot open for read: " + path);
-    }
-    return read.status();
-  }
-  std::istringstream in(std::move(read).value(), std::ios::binary);
-  return ReadTensor(in);
 }
 
 }  // namespace geodp

@@ -47,7 +47,13 @@ class CheckpointCorruptionTest : public ::testing::Test {
     // A deliberately tiny model keeps the exhaustive sweeps fast.
     Rng source_rng(21);
     source_ = MakeLogisticRegression(16, 4, source_rng);
-    path_ = TempPath("corruption.gdpc");
+    // ctest runs each case as its own process, concurrently under -j, so
+    // every case needs its own file.
+    path_ = TempPath(std::string("corruption_") +
+                     ::testing::UnitTest::GetInstance()
+                         ->current_test_info()
+                         ->name() +
+                     ".gdpc");
     ASSERT_TRUE(SaveCheckpoint(*source_, path_).ok());
     good_bytes_ = ReadFile(path_);
     ASSERT_GT(good_bytes_.size(), 16u);
@@ -92,14 +98,14 @@ TEST_F(CheckpointCorruptionTest, TruncationAtEveryLengthIsRejected) {
 }
 
 TEST_F(CheckpointCorruptionTest, AppendedGarbageIsRejected) {
-  WriteFile(path_, good_bytes_ + std::string(33, '\x5a'));
-  // Trailing garbage after the last tensor is tolerated by the streaming
-  // reader only if it never reads past the declared tensors; the GDPC
-  // reader stops after `count` entries, so this stays loadable. What must
-  // hold is that the loaded weights equal the source exactly.
-  const Status status = LoadCheckpoint(*target_, path_);
-  ASSERT_TRUE(status.ok()) << status.ToString();
-  EXPECT_EQ(WeightBytes(*target_), WeightBytes(*source_));
+  for (const size_t extra : {size_t{1}, size_t{33}}) {
+    WriteFile(path_, good_bytes_ + std::string(extra, '\x5a'));
+    const Status status = LoadCheckpoint(*target_, path_);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+        << extra << " appended bytes: " << status.ToString();
+    EXPECT_EQ(WeightBytes(*target_), target_before_)
+        << "model mutated by rejected load (" << extra << " extra bytes)";
+  }
 }
 
 TEST_F(CheckpointCorruptionTest, IntactFileRoundTripsExactly) {

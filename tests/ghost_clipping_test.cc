@@ -305,6 +305,14 @@ void CheckEquivalence(Sequential& model, const InMemoryDataset& train,
   ExpectTensorsNear(ghost.averaged_clipped, materialized.averaged_clipped,
                     2e-5);
   ExpectTensorsNear(ghost.averaged_raw, materialized.averaged_raw, 2e-5);
+
+  // Every sample's gradient is over the threshold, so clipping binds on
+  // all of them, and the ghost average must still respect the bound C.
+  const double threshold = clipper.clip_threshold();
+  for (size_t b = 0; b < materialized.sample_grad_norms.size(); ++b) {
+    EXPECT_GT(materialized.sample_grad_norms[b], threshold) << "sample " << b;
+  }
+  EXPECT_LE(ghost.averaged_clipped.L2Norm(), threshold * (1.0 + 1e-6));
 }
 
 class GhostTierTest : public ::testing::Test {

@@ -15,8 +15,8 @@
 #include "nn/sequential.h"
 #include "optim/dp_adam.h"
 #include "optim/dp_sgd.h"
-#include "optim/fast_linear_grad.h"
 #include "optim/geodp_sgd.h"
+#include "optim/ghost_grad.h"
 #include "optim/sgd.h"
 #include "optim/techniques.h"
 #include "tensor/tensor_ops.h"
@@ -130,48 +130,24 @@ TEST(PerSampleGradientTest, MeanLossMatchesSampleLosses) {
   EXPECT_NEAR(result.mean_loss, mean, 1e-9);
 }
 
-TEST(FastLinearGradTest, MatchesLoopPathExactly) {
-  // The batched outer-product path must agree with the per-sample loop for
-  // a Flatten+Linear model under flat clipping.
-  Rng rng(41);
-  SyntheticImageOptions data_options;
-  data_options.num_examples = 16;
-  data_options.height = 6;
-  data_options.width = 6;
-  data_options.seed = 42;
-  const InMemoryDataset ds = MakeSyntheticImages(data_options);
-  auto model = MakeLogisticRegression(36, 10, rng);
-  SoftmaxCrossEntropy loss;
-  const FlatClipper clipper(0.05);
-  std::vector<int64_t> indices;
-  for (int64_t i = 0; i < 16; ++i) indices.push_back(i);
-
-  const PrivateBatchGradient loop =
-      ComputePerSampleGradients(*model, loss, ds, indices, clipper);
-
-  const auto params = model->Parameters();
-  const Tensor x = ds.StackImages(indices).Reshape({16, 36});
-  const PrivateBatchGradient fast = ComputeLinearPerSampleGradients(
-      x, ds.GatherLabels(indices), params[0]->value, params[1]->value,
-      ClipThreshold(0.05));
-
-  EXPECT_NEAR(loop.mean_loss, fast.mean_loss, 1e-6);
-  EXPECT_LT(MaxAbsDiff(loop.averaged_clipped, fast.averaged_clipped), 1e-5);
-  EXPECT_LT(MaxAbsDiff(loop.averaged_raw, fast.averaged_raw), 1e-5);
-  ASSERT_EQ(loop.sample_losses.size(), fast.sample_losses.size());
-  for (size_t i = 0; i < loop.sample_losses.size(); ++i) {
-    EXPECT_NEAR(loop.sample_losses[i], fast.sample_losses[i], 1e-6);
-  }
-}
-
 TEST(FastLinearGradTest, ClipBoundHolds) {
+  // The batched path for a Flatten+Linear model is ghost clipping; with
+  // large inputs every sample is clipped, and the average must stay <= C.
   Rng rng(43);
-  const Tensor x = Tensor::Randn({8, 12}, rng, 5.0f);
-  const Tensor w = Tensor::Randn({4, 12}, rng);
-  const Tensor b = Tensor::Randn({4}, rng);
-  const std::vector<int64_t> labels = {0, 1, 2, 3, 0, 1, 2, 3};
+  InMemoryDataset ds;
+  std::vector<int64_t> indices;
+  for (int64_t i = 0; i < 8; ++i) {
+    ds.Add(Tensor::Randn({12}, rng, 5.0f), i % 4);
+    indices.push_back(i);
+  }
+  auto model = MakeLogisticRegression(12, 4, rng);
+  const auto params = model->Parameters();
+  params[0]->value = Tensor::Randn({4, 12}, rng);
+  params[1]->value = Tensor::Randn({4}, rng);
+  SoftmaxCrossEntropy loss;
+  const FlatClipper clipper(0.02);
   const PrivateBatchGradient result =
-      ComputeLinearPerSampleGradients(x, labels, w, b, ClipThreshold(0.02));
+      ComputeGhostClippedGradients(*model, loss, ds, indices, clipper);
   EXPECT_LE(result.averaged_clipped.L2Norm(), 0.02 + 1e-6);
 }
 

@@ -2,7 +2,6 @@
 
 #include <cstdio>
 #include <cstring>
-#include <sstream>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -22,12 +21,27 @@ std::string TempPath(const std::string& name) {
   return ::testing::TempDir() + "/" + name;
 }
 
+// The GDPT encoding of `tensor`.
+std::string Encode(const Tensor& tensor) {
+  ByteWriter out;
+  WriteTensor(tensor, out);
+  return out.TakeBytes();
+}
+
+// Decodes one tensor from `bytes`, requiring the decode to consume them all.
+StatusOr<Tensor> DecodeAll(const std::string& bytes) {
+  ByteReader in(bytes);
+  StatusOr<Tensor> tensor = ReadTensor(in);
+  if (tensor.ok() && in.remaining() != 0) {
+    return Status::InvalidArgument("bytes left after the tensor");
+  }
+  return tensor;
+}
+
 TEST(TensorSerializationTest, StreamRoundTrip) {
   Rng rng(1);
   const Tensor original = Tensor::Randn({3, 4, 5}, rng);
-  std::stringstream buffer;
-  ASSERT_TRUE(WriteTensor(original, buffer).ok());
-  StatusOr<Tensor> restored = ReadTensor(buffer);
+  StatusOr<Tensor> restored = DecodeAll(Encode(original));
   ASSERT_TRUE(restored.ok());
   EXPECT_EQ(restored.value().shape(), original.shape());
   EXPECT_TRUE(AllClose(restored.value(), original, 0.0, 0.0));
@@ -37,33 +51,40 @@ TEST(TensorSerializationTest, MultipleTensorsInOneStream) {
   Rng rng(2);
   const Tensor a = Tensor::Randn({4}, rng);
   const Tensor b = Tensor::Randn({2, 2}, rng);
-  std::stringstream buffer;
-  ASSERT_TRUE(WriteTensor(a, buffer).ok());
-  ASSERT_TRUE(WriteTensor(b, buffer).ok());
-  StatusOr<Tensor> ra = ReadTensor(buffer);
-  StatusOr<Tensor> rb = ReadTensor(buffer);
+  ByteWriter out;
+  WriteTensor(a, out);
+  WriteTensor(b, out);
+  ByteReader in(out.bytes());
+  StatusOr<Tensor> ra = ReadTensor(in);
+  StatusOr<Tensor> rb = ReadTensor(in);
   ASSERT_TRUE(ra.ok());
   ASSERT_TRUE(rb.ok());
   EXPECT_TRUE(AllClose(ra.value(), a, 0.0, 0.0));
   EXPECT_TRUE(AllClose(rb.value(), b, 0.0, 0.0));
+  EXPECT_EQ(in.remaining(), 0u);
 }
 
 TEST(TensorSerializationTest, RejectsGarbage) {
-  std::stringstream buffer;
-  buffer << "this is not a tensor";
-  StatusOr<Tensor> restored = ReadTensor(buffer);
+  StatusOr<Tensor> restored = DecodeAll("this is not a tensor");
   EXPECT_FALSE(restored.ok());
   EXPECT_EQ(restored.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(TensorSerializationTest, RejectsTruncatedData) {
   Rng rng(3);
-  const Tensor original = Tensor::Randn({64}, rng);
-  std::stringstream buffer;
-  ASSERT_TRUE(WriteTensor(original, buffer).ok());
-  const std::string bytes = buffer.str();
-  std::stringstream truncated(bytes.substr(0, bytes.size() / 2));
-  EXPECT_FALSE(ReadTensor(truncated).ok());
+  const std::string bytes = Encode(Tensor::Randn({64}, rng));
+  EXPECT_FALSE(DecodeAll(bytes.substr(0, bytes.size() / 2)).ok());
+}
+
+TEST(TensorSerializationTest, RejectsHugeExtentWithoutAllocating) {
+  // A corrupt extent claims 2^33 elements (32 GiB). The reader must see
+  // that the buffer is too short before it allocates anything.
+  std::string bytes = Encode(Tensor::FromVector({2}, {1.0f, 2.0f}));
+  const int64_t huge = int64_t{1} << 33;
+  std::memcpy(bytes.data() + 12, &huge, sizeof(huge));
+  StatusOr<Tensor> restored = DecodeAll(bytes);
+  ASSERT_FALSE(restored.ok());
+  EXPECT_EQ(restored.status().message(), "truncated tensor data");
 }
 
 TEST(TensorSerializationTest, BitFlipAnywhereIsDetected) {
@@ -71,30 +92,22 @@ TEST(TensorSerializationTest, BitFlipAnywhereIsDetected) {
   // bit flip at any offset, including inside the float payload where no
   // structural check would notice.
   Rng rng(41);
-  const Tensor original = Tensor::Randn({5, 5}, rng);
-  std::stringstream buffer;
-  ASSERT_TRUE(WriteTensor(original, buffer).ok());
-  const std::string bytes = buffer.str();
+  const std::string bytes = Encode(Tensor::Randn({5, 5}, rng));
   for (size_t offset = 0; offset < bytes.size(); ++offset) {
     std::string bad = bytes;
     bad[offset] = static_cast<char>(bad[offset] ^ 0x04);
-    std::stringstream corrupted(bad);
-    EXPECT_FALSE(ReadTensor(corrupted).ok())
+    EXPECT_FALSE(DecodeAll(bad).ok())
         << "bit flip at offset " << offset << " went undetected";
   }
 }
 
 TEST(TensorSerializationTest, TruncatedTrailerIsDetected) {
   Rng rng(42);
-  const Tensor original = Tensor::Randn({8}, rng);
-  std::stringstream buffer;
-  ASSERT_TRUE(WriteTensor(original, buffer).ok());
-  const std::string bytes = buffer.str();
+  const std::string bytes = Encode(Tensor::Randn({8}, rng));
   // Cut anywhere inside the 12-byte trailer: the data is all present, so
   // only the trailer checks can notice.
   for (size_t cut = bytes.size() - 12; cut < bytes.size(); ++cut) {
-    std::stringstream truncated(bytes.substr(0, cut));
-    EXPECT_FALSE(ReadTensor(truncated).ok())
+    EXPECT_FALSE(DecodeAll(bytes.substr(0, cut)).ok())
         << "trailer truncation at " << cut << " went undetected";
   }
 }
@@ -104,41 +117,19 @@ TEST(TensorSerializationTest, ReadsLegacyV1WithoutTrailer) {
   // the header. Old files must stay readable.
   Rng rng(43);
   const Tensor original = Tensor::Randn({3, 2}, rng);
-  std::stringstream buffer;
-  ASSERT_TRUE(WriteTensor(original, buffer).ok());
-  std::string bytes = buffer.str();
+  std::string bytes = Encode(original);
   bytes.resize(bytes.size() - 12);  // strip u64 length + u32 crc
   const uint32_t v1 = 1;
   std::memcpy(bytes.data() + 4, &v1, sizeof(v1));
-  std::stringstream legacy(bytes);
-  StatusOr<Tensor> restored = ReadTensor(legacy);
+  StatusOr<Tensor> restored = DecodeAll(bytes);
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
   EXPECT_TRUE(AllClose(restored.value(), original, 0.0, 0.0));
 }
 
 TEST(TensorSerializationTest, EmptyTensorRoundTrips) {
-  std::stringstream buffer;
-  ASSERT_TRUE(WriteTensor(Tensor(), buffer).ok());
-  StatusOr<Tensor> restored = ReadTensor(buffer);
+  StatusOr<Tensor> restored = DecodeAll(Encode(Tensor()));
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
   EXPECT_EQ(restored.value().numel(), 0);
-}
-
-TEST(TensorSerializationTest, FileRoundTrip) {
-  Rng rng(4);
-  const Tensor original = Tensor::Randn({7, 3}, rng);
-  const std::string path = TempPath("tensor.gdpt");
-  ASSERT_TRUE(SaveTensorToFile(original, path).ok());
-  StatusOr<Tensor> restored = LoadTensorFromFile(path);
-  ASSERT_TRUE(restored.ok());
-  EXPECT_TRUE(AllClose(restored.value(), original, 0.0, 0.0));
-  std::remove(path.c_str());
-}
-
-TEST(TensorSerializationTest, MissingFileFails) {
-  StatusOr<Tensor> restored = LoadTensorFromFile("/nonexistent/path.gdpt");
-  EXPECT_FALSE(restored.ok());
-  EXPECT_EQ(restored.status().code(), StatusCode::kNotFound);
 }
 
 TEST(CheckpointTest, CnnRoundTrip) {

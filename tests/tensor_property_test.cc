@@ -4,7 +4,6 @@
 // magnitudes.
 
 #include <cmath>
-#include <sstream>
 #include <tuple>
 
 #include <gtest/gtest.h>
@@ -113,9 +112,10 @@ TEST_P(SerializationPropertyTest, RandomShapeRoundTrip) {
     shape.push_back(1 + static_cast<int64_t>(rng.UniformInt(6)));
   }
   const Tensor original = Tensor::Randn(shape, rng);
-  std::stringstream buffer;
-  ASSERT_TRUE(WriteTensor(original, buffer).ok());
-  StatusOr<Tensor> restored = ReadTensor(buffer);
+  ByteWriter out;
+  WriteTensor(original, out);
+  ByteReader in(out.bytes());
+  StatusOr<Tensor> restored = ReadTensor(in);
   ASSERT_TRUE(restored.ok());
   EXPECT_EQ(restored.value().shape(), original.shape());
   EXPECT_TRUE(AllClose(restored.value(), original, 0.0, 0.0));
