@@ -74,12 +74,20 @@ int64_t PrivacyLedger::TotalReleases() const {
 
 namespace {
 
-// Replays the Gaussian-kind events into `accountant`; returns whether any
-// were present. Laplace events are left to the caller (they compose by
-// plain epsilon addition, not RDP).
-bool ReplayGaussianEvents(const std::vector<PrivacyEvent>& events,
-                          RdpAccountant& accountant) {
+// The composed guarantee and its RDP order (0 without Gaussian events),
+// from one replay of the events into a fresh accountant. Laplace events
+// compose by plain epsilon addition, not RDP.
+struct Composition {
+  PrivacyGuarantee guarantee;
+  int64_t optimal_order = 0;
+};
+
+Composition Compose(const std::vector<PrivacyEvent>& events, Delta delta) {
+  const double d = delta.value();
+  GEODP_CHECK(d > 0.0 && d < 1.0);  // geodp: check-ok
+  RdpAccountant accountant;
   bool has_gaussian = false;
+  double laplace_epsilon = 0.0;
   for (const PrivacyEvent& event : events) {
     switch (event.kind) {
       case PrivacyEvent::Kind::kGaussian:
@@ -94,36 +102,23 @@ bool ReplayGaussianEvents(const std::vector<PrivacyEvent>& events,
         has_gaussian = true;
         break;
       case PrivacyEvent::Kind::kLaplace:
+        laplace_epsilon += event.epsilon * static_cast<double>(event.count);
         break;
     }
   }
-  return has_gaussian;
+  if (!has_gaussian) return {{laplace_epsilon, 0.0}, 0};
+  return {{accountant.GetEpsilon(delta) + laplace_epsilon, d},
+          accountant.GetOptimalOrder(delta)};
 }
 
 }  // namespace
 
 PrivacyGuarantee PrivacyLedger::ComposedGuarantee(Delta delta) const {
-  const double d = delta.value();
-  GEODP_CHECK(d > 0.0 && d < 1.0);  // geodp: check-ok
-  RdpAccountant accountant;
-  const bool has_gaussian = ReplayGaussianEvents(events_, accountant);
-  double laplace_epsilon = 0.0;
-  for (const PrivacyEvent& event : events_) {
-    if (event.kind == PrivacyEvent::Kind::kLaplace) {
-      laplace_epsilon += event.epsilon * static_cast<double>(event.count);
-    }
-  }
-  const double gaussian_epsilon =
-      has_gaussian ? accountant.GetEpsilon(delta) : 0.0;
-  return {gaussian_epsilon + laplace_epsilon, has_gaussian ? d : 0.0};
+  return Compose(events_, delta).guarantee;
 }
 
 int64_t PrivacyLedger::OptimalOrder(Delta delta) const {
-  const double d = delta.value();
-  GEODP_CHECK(d > 0.0 && d < 1.0);  // geodp: check-ok
-  RdpAccountant accountant;
-  const bool has_gaussian = ReplayGaussianEvents(events_, accountant);
-  return has_gaussian ? accountant.GetOptimalOrder(delta) : 0;
+  return Compose(events_, delta).optimal_order;
 }
 
 std::string PrivacyLedger::Report(Delta delta) const {
@@ -148,12 +143,11 @@ std::string PrivacyLedger::Report(Delta delta) const {
     if (!event.note.empty()) out << "  (" << event.note << ")";
     out << "\n";
   }
-  const PrivacyGuarantee guarantee = ComposedGuarantee(delta);
+  const auto [guarantee, order] = Compose(events_, delta);
   // A pure-Laplace ledger composes to (eps, 0)-DP; still echo the delta
   // the caller asked about so the report is unambiguous.
   out << "  => (" << guarantee.epsilon << ", " << guarantee.delta
       << ")-DP at requested delta=" << delta.value();
-  const int64_t order = OptimalOrder(delta);
   if (order > 0) out << "\n  => optimal RDP order: " << order;
   return out.str();
 }

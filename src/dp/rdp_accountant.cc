@@ -69,52 +69,62 @@ std::vector<int64_t> RdpAccountant::DefaultOrders() {
   return orders;
 }
 
-void RdpAccountant::AddGaussianSteps(NoiseMultiplier sigma, int64_t steps) {
-  GEODP_CHECK_GE(steps, 0);  // geodp: check-ok
-  for (size_t i = 0; i < orders_.size(); ++i) {
-    rdp_[i] += static_cast<double>(steps) *
-               GaussianRdp(sigma.value(), static_cast<double>(orders_[i]));
+const std::vector<double>& RdpAccountant::CurveFor(double sigma, double rate) {
+  for (const Curve& curve : curves_) {
+    if (!curve.rdp.empty() && curve.sigma == sigma && curve.rate == rate) {
+      return curve.rdp;
+    }
   }
-  total_steps_ += steps;
+  Curve& slot = curves_[next_slot_];
+  next_slot_ = (next_slot_ + 1) % kCachedCurves;
+  slot.sigma = sigma;
+  slot.rate = rate;
+  slot.rdp.resize(orders_.size());
+  for (size_t i = 0; i < orders_.size(); ++i) {
+    slot.rdp[i] = SubsampledGaussianRdp(sigma, rate, orders_[i]);
+  }
+  return slot.rdp;
+}
+
+void RdpAccountant::AddGaussianSteps(NoiseMultiplier sigma, int64_t steps) {
+  AddSubsampledGaussianSteps(sigma, SamplingRate(1.0), steps);
 }
 
 void RdpAccountant::AddSubsampledGaussianSteps(NoiseMultiplier sigma,
                                                SamplingRate sampling_rate,
                                                int64_t steps) {
   GEODP_CHECK_GE(steps, 0);  // geodp: check-ok
+  const std::vector<double>& curve =
+      CurveFor(sigma.value(), sampling_rate.value());
   for (size_t i = 0; i < orders_.size(); ++i) {
-    rdp_[i] += static_cast<double>(steps) *
-               SubsampledGaussianRdp(sigma.value(), sampling_rate.value(),
-                                     orders_[i]);
+    rdp_[i] += static_cast<double>(steps) * curve[i];
   }
   total_steps_ += steps;
 }
 
-double RdpAccountant::GetEpsilon(Delta delta) const {
+RdpSnapshot RdpAccountant::Scan(Delta delta) const {
   const double d = delta.value();
   GEODP_CHECK(d > 0.0 && d < 1.0);  // geodp: check-ok
-  double best = std::numeric_limits<double>::infinity();
+  const double log_inv_delta = std::log(1.0 / d);
+  RdpSnapshot best{std::numeric_limits<double>::infinity(), orders_.front(),
+                   total_steps_};
   for (size_t i = 0; i < orders_.size(); ++i) {
     const double alpha = static_cast<double>(orders_[i]);
-    best = std::min(best, rdp_[i] + std::log(1.0 / d) / (alpha - 1.0));
+    const double eps = rdp_[i] + log_inv_delta / (alpha - 1.0);
+    if (eps < best.epsilon) {
+      best.epsilon = eps;
+      best.optimal_order = orders_[i];
+    }
   }
   return best;
 }
 
+double RdpAccountant::GetEpsilon(Delta delta) const {
+  return Scan(delta).epsilon;
+}
+
 int64_t RdpAccountant::GetOptimalOrder(Delta delta) const {
-  const double d = delta.value();
-  GEODP_CHECK(d > 0.0 && d < 1.0);  // geodp: check-ok
-  double best = std::numeric_limits<double>::infinity();
-  int64_t best_order = orders_.front();
-  for (size_t i = 0; i < orders_.size(); ++i) {
-    const double alpha = static_cast<double>(orders_[i]);
-    const double eps = rdp_[i] + std::log(1.0 / d) / (alpha - 1.0);
-    if (eps < best) {
-      best = eps;
-      best_order = orders_[i];
-    }
-  }
-  return best_order;
+  return Scan(delta).optimal_order;
 }
 
 Status RdpAccountant::RestoreState(const std::vector<int64_t>& orders,
@@ -141,12 +151,8 @@ Status RdpAccountant::RestoreState(const std::vector<int64_t>& orders,
 }
 
 RdpSnapshot RdpAccountant::Snapshot(Delta delta) const {
-  RdpSnapshot snapshot;
-  snapshot.total_steps = total_steps_;
-  if (total_steps_ == 0) return snapshot;
-  snapshot.epsilon = GetEpsilon(delta);
-  snapshot.optimal_order = GetOptimalOrder(delta);
-  return snapshot;
+  if (total_steps_ == 0) return {};
+  return Scan(delta);
 }
 
 }  // namespace geodp

@@ -7,6 +7,7 @@
 #ifndef GEODP_DP_RDP_ACCOUNTANT_H_
 #define GEODP_DP_RDP_ACCOUNTANT_H_
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -38,6 +39,11 @@ struct RdpSnapshot {
 /// Tracks cumulative RDP over a set of integer orders and converts to
 /// (epsilon, delta)-DP via epsilon = min_alpha rdp(alpha) +
 /// log(1/delta)/(alpha-1).
+///
+/// The per-order curve of each (sigma, q) is evaluated once and kept, so
+/// accounting a step of a mechanism seen before costs O(orders) instead of
+/// a binomial series per order. The cumulative values are the same bits
+/// as evaluating the series on every call.
 class RdpAccountant {
  public:
   /// Uses DefaultOrders() when `orders` is empty.
@@ -46,10 +52,10 @@ class RdpAccountant {
   /// Integer orders 2..64 plus {128, 256, 512, 1024}.
   static std::vector<int64_t> DefaultOrders();
 
-  /// Accounts `steps` releases of a Gaussian mechanism. Sigma, the rate
-  /// and delta below are strongly typed (base/units.h): they are all
-  /// small positive doubles, and transposing two of them misreports
-  /// epsilon without any other symptom.
+  /// Accounts `steps` releases of a Gaussian mechanism: the subsampled
+  /// mechanism at rate 1. Sigma, the rate and delta below are strongly
+  /// typed (base/units.h): they are all small positive doubles, and
+  /// transposing two of them misreports epsilon without any other symptom.
   void AddGaussianSteps(NoiseMultiplier sigma, int64_t steps);
 
   /// Accounts `steps` releases of a Poisson-subsampled Gaussian mechanism
@@ -84,9 +90,29 @@ class RdpAccountant {
   const std::vector<double>& cumulative_rdp() const { return rdp_; }
 
  private:
+  // Per-step RDP of one (sigma, q) at every order, keyed by the exact
+  // doubles. An empty `rdp` marks an unused slot.
+  struct Curve {
+    double sigma = 0.0;
+    double rate = 0.0;
+    std::vector<double> rdp;  // parallel to orders_
+  };
+  // Enough for every mechanism one step releases, so they never evict
+  // each other.
+  static constexpr size_t kCachedCurves = 4;
+
+  // The cached curve for (sigma, q), evaluated on a miss into the oldest
+  // slot.
+  const std::vector<double>& CurveFor(double sigma, double rate);
+
+  // Epsilon and its order at `delta`, minimised over the tracked orders.
+  RdpSnapshot Scan(Delta delta) const;
+
   std::vector<int64_t> orders_;
   std::vector<double> rdp_;  // cumulative, parallel to orders_
   int64_t total_steps_ = 0;
+  std::array<Curve, kCachedCurves> curves_;
+  size_t next_slot_ = 0;  // the slot the next miss overwrites
 };
 
 }  // namespace geodp

@@ -700,6 +700,7 @@ StatusOr<TrainingResult> DpTrainer::Run() {
     const Tensor noisy = perturber->Perturb(grads.averaged_clipped, noise_rng);
     if (options_.method != PerturbationMethod::kNoiseFree &&
         options_.noise_multiplier > 0.0) {
+      const TraceSpan accounting_span("step.accounting");
       accountant.AddSubsampledGaussianSteps(
           NoiseMultiplier(options_.noise_multiplier),
           SamplingRate(sampling_rate), 1);

@@ -70,36 +70,6 @@ uint32_t TestCrc32(const std::string& data) {
   return state ^ 0xFFFFFFFFu;
 }
 
-TEST(ByteViewTest, AsBytesMatchesMemcpy) {
-  const uint32_t value = 0x01020304u;
-  const ByteSpan bytes = AsBytes(value);
-  ASSERT_EQ(bytes.size, sizeof(value));
-  std::array<char, sizeof(value)> expected;
-  std::memcpy(expected.data(), &value, sizeof(value));
-  EXPECT_EQ(std::memcmp(bytes.data, expected.data(), sizeof(value)), 0);
-}
-
-TEST(ByteViewTest, FromBytesRoundTripsAnyTriviallyCopyableValue) {
-  const double value = -123.456789;
-  const double restored = FromBytes<double>(AsBytes(value));
-  EXPECT_EQ(restored, value);
-}
-
-TEST(ByteViewTest, ElementRangeOverloadsSpanTheWholeRange) {
-  std::vector<float> values = {1.0f, 2.0f, 3.0f};
-  const ByteSpan bytes = AsBytes(values.data(), values.size());
-  EXPECT_EQ(bytes.size, values.size() * sizeof(float));
-  EXPECT_EQ(static_cast<const void*>(bytes.data),
-            static_cast<const void*>(values.data()));
-
-  // Writing through the mutable span is visible in the vector.
-  const MutableByteSpan writable =
-      AsWritableBytes(values.data(), values.size());
-  const float replacement = 9.5f;
-  std::memcpy(writable.data, &replacement, sizeof(replacement));
-  EXPECT_EQ(values[0], 9.5f);
-}
-
 TEST(ByteViewTest, PunCastPreservesAddressAndConstness) {
   struct Probe {
     int x = 7;

@@ -6,10 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <fstream>
 #include <string>
 
-#include "base/byte_view.h"
 #include "base/rng.h"
 #include "models/logistic_regression.h"
 #include "nn/checkpoint.h"
@@ -36,9 +36,9 @@ void WriteFile(const std::string& path, const std::string& bytes) {
 // Raw bytes of the model weights, for bit-exact no-mutation checks.
 std::string WeightBytes(Sequential& model) {
   const Tensor flat = FlattenValues(model.Parameters());
-  const geodp::ByteSpan bytes =
-      geodp::AsBytes(flat.data(), static_cast<size_t>(flat.numel()));
-  return std::string(bytes.data, bytes.size);
+  std::string bytes(static_cast<size_t>(flat.numel()) * sizeof(float), '\0');
+  std::memcpy(bytes.data(), flat.data(), bytes.size());
+  return bytes;
 }
 
 class CheckpointCorruptionTest : public ::testing::Test {

@@ -11,7 +11,6 @@
 #include <string>
 #include <vector>
 
-#include "base/byte_view.h"
 #include "base/rng.h"
 #include "base/thread_pool.h"
 #include "data/synthetic_images.h"
@@ -51,9 +50,9 @@ std::string FreshDir(const std::string& name) {
 // bit-identity, not approximate closeness.
 std::string WeightBytes(Sequential& model) {
   const Tensor flat = FlattenValues(model.Parameters());
-  const geodp::ByteSpan bytes =
-      geodp::AsBytes(flat.data(), static_cast<size_t>(flat.numel()));
-  return std::string(bytes.data, bytes.size);
+  std::string bytes(static_cast<size_t>(flat.numel()) * sizeof(float), '\0');
+  std::memcpy(bytes.data(), flat.data(), bytes.size());
+  return bytes;
 }
 
 struct SegmentOutput {

@@ -1,7 +1,11 @@
 // Tests for the DP substrate: Gaussian/Laplace mechanisms, composition
 // theorems and the RDP accountant.
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -248,11 +252,141 @@ TEST(RdpAccountantTest, SnapshotMatchesGettersAfterSpend) {
   accountant.AddSubsampledGaussianSteps(NoiseMultiplier(1.0),
                                         SamplingRate(0.01), 100);
   accountant.AddGaussianSteps(NoiseMultiplier(2.0), 5);
-  const RdpSnapshot snapshot = accountant.Snapshot(Delta(1e-5));
-  EXPECT_DOUBLE_EQ(snapshot.epsilon, accountant.GetEpsilon(Delta(1e-5)));
-  EXPECT_EQ(snapshot.optimal_order, accountant.GetOptimalOrder(Delta(1e-5)));
-  EXPECT_EQ(snapshot.total_steps, 105);
+  for (const double delta : {1e-3, 1e-5, 1e-8, 0.5}) {
+    const RdpSnapshot snapshot = accountant.Snapshot(Delta(delta));
+    EXPECT_EQ(snapshot.epsilon, accountant.GetEpsilon(Delta(delta)));
+    EXPECT_EQ(snapshot.optimal_order,
+              accountant.GetOptimalOrder(Delta(delta)));
+    EXPECT_EQ(snapshot.total_steps, 105);
+  }
   EXPECT_EQ(accountant.total_steps(), 105);
+}
+
+// One accounting call: `steps` releases at (sigma, rate). Rate 1 goes
+// through AddGaussianSteps, anything else through the subsampled path.
+struct Release {
+  double sigma;
+  double rate;
+  int64_t steps;
+};
+
+void Account(RdpAccountant& accountant, const Release& release) {
+  if (release.rate == 1.0) {
+    accountant.AddGaussianSteps(NoiseMultiplier(release.sigma), release.steps);
+  } else {
+    accountant.AddSubsampledGaussianSteps(NoiseMultiplier(release.sigma),
+                                          SamplingRate(release.rate),
+                                          release.steps);
+  }
+}
+
+// The cumulative RDP the accountant must hold after `releases`: the same
+// per-order sum, with every per-step value evaluated afresh from the series.
+std::vector<double> HandRolledRdp(const std::vector<Release>& releases) {
+  const std::vector<int64_t> orders = RdpAccountant::DefaultOrders();
+  std::vector<double> rdp(orders.size(), 0.0);
+  for (const Release& release : releases) {
+    for (size_t i = 0; i < orders.size(); ++i) {
+      const double per_step =
+          release.rate == 1.0
+              ? GaussianRdp(release.sigma, static_cast<double>(orders[i]))
+              : SubsampledGaussianRdp(release.sigma, release.rate, orders[i]);
+      rdp[i] += static_cast<double>(release.steps) * per_step;
+    }
+  }
+  return rdp;
+}
+
+double HandRolledEpsilon(const std::vector<double>& rdp, double delta) {
+  const std::vector<int64_t> orders = RdpAccountant::DefaultOrders();
+  double best = std::numeric_limits<double>::infinity();
+  for (size_t i = 0; i < orders.size(); ++i) {
+    const double alpha = static_cast<double>(orders[i]);
+    best = std::min(best, rdp[i] + std::log(1.0 / delta) / (alpha - 1.0));
+  }
+  return best;
+}
+
+void ExpectBitsMatchHandRolled(const std::vector<Release>& releases) {
+  RdpAccountant accountant;
+  int64_t steps = 0;
+  for (const Release& release : releases) {
+    Account(accountant, release);
+    steps += release.steps;
+  }
+  const std::vector<double> expected = HandRolledRdp(releases);
+  EXPECT_EQ(accountant.cumulative_rdp(), expected);
+  EXPECT_EQ(accountant.total_steps(), steps);
+  EXPECT_EQ(accountant.GetEpsilon(Delta(1e-5)),
+            HandRolledEpsilon(expected, 1e-5));
+}
+
+TEST(RdpAccountantTest, SingleStepAddsMatchHandRolledSum) {
+  // The trainer's pattern: one call per step with the same (sigma, q).
+  ExpectBitsMatchHandRolled(std::vector<Release>(1000, {1.1, 0.05, 1}));
+}
+
+TEST(RdpAccountantTest, InterleavedMechanismsMatchHandRolledSum) {
+  // (sigma1, q2) shares its sigma with one mechanism and its rate with
+  // another, so a curve looked up by either alone is wrong.
+  std::vector<Release> releases;
+  for (int64_t t = 0; t < 50; ++t) {
+    releases.push_back({1.0, 0.01, 1});
+    releases.push_back({2.5, 0.04, 1 + t % 3});
+    releases.push_back({1.0, 0.04, 1});
+    releases.push_back({3.0, 1.0, 2});
+  }
+  ExpectBitsMatchHandRolled(releases);
+}
+
+TEST(RdpAccountantTest, MoreMechanismsThanCachedCurvesMatchHandRolledSum) {
+  // Seven distinct (sigma, q) pairs, cycled and then revisited in reverse,
+  // so every curve is evicted and recomputed several times.
+  const std::vector<Release> pairs = {
+      {0.8, 0.01, 1}, {0.8, 0.02, 1}, {1.2, 0.02, 1}, {1.2, 0.01, 1},
+      {2.0, 0.10, 1}, {2.0, 1.0, 1},  {4.0, 0.30, 1}};
+  std::vector<Release> releases;
+  for (int round = 0; round < 6; ++round) {
+    for (const Release& pair : pairs) releases.push_back(pair);
+    for (auto it = pairs.rbegin(); it != pairs.rend(); ++it) {
+      releases.push_back(*it);
+    }
+  }
+  ExpectBitsMatchHandRolled(releases);
+}
+
+TEST(RdpAccountantTest, RestoreMidRunThenContinueEqualsUninterruptedRun) {
+  std::vector<Release> releases;
+  for (int64_t t = 0; t < 200; ++t) {
+    releases.push_back({1.1, 0.05, 1});
+    if (t % 20 == 0) releases.push_back({2.0, 0.02, 3});
+  }
+  const size_t cut = releases.size() / 2;
+  RdpAccountant uninterrupted;
+  RdpAccountant before_crash;
+  for (size_t i = 0; i < releases.size(); ++i) {
+    Account(uninterrupted, releases[i]);
+    if (i < cut) Account(before_crash, releases[i]);
+  }
+  // A fresh accountant (as after a restart) and one that has already
+  // accounted other releases both resume to the uninterrupted bits.
+  RdpAccountant fresh;
+  RdpAccountant warm;
+  Account(warm, {1.1, 0.05, 7});
+  Account(warm, {0.7, 0.3, 2});
+  for (RdpAccountant* resumed : {&fresh, &warm}) {
+    const Status restored = resumed->RestoreState(
+        before_crash.orders(), before_crash.cumulative_rdp(),
+        before_crash.total_steps());
+    ASSERT_TRUE(restored.ok());
+    for (size_t i = cut; i < releases.size(); ++i) {
+      Account(*resumed, releases[i]);
+    }
+    EXPECT_EQ(resumed->cumulative_rdp(), uninterrupted.cumulative_rdp());
+    EXPECT_EQ(resumed->total_steps(), uninterrupted.total_steps());
+    EXPECT_EQ(resumed->GetEpsilon(Delta(1e-5)),
+              uninterrupted.GetEpsilon(Delta(1e-5)));
+  }
 }
 
 }  // namespace

@@ -276,6 +276,27 @@ TEST(GhostGradTest, SupportDetection) {
   EXPECT_FALSE(GhostClipSupported(with_norm));
 }
 
+TEST(GhostGradTest, ClipBoundHolds) {
+  // With large inputs every sample of a logistic-regression model is
+  // clipped, and the ghost path's average must stay <= C.
+  Rng rng(43);
+  InMemoryDataset ds;
+  std::vector<int64_t> indices;
+  for (int64_t i = 0; i < 8; ++i) {
+    ds.Add(Tensor::Randn({12}, rng, 5.0f), i % 4);
+    indices.push_back(i);
+  }
+  auto model = MakeLogisticRegression(12, 4, rng);
+  const auto params = model->Parameters();
+  params[0]->value = Tensor::Randn({4, 12}, rng);
+  params[1]->value = Tensor::Randn({4}, rng);
+  SoftmaxCrossEntropy loss;
+  const FlatClipper clipper(0.02);
+  const PrivateBatchGradient result =
+      ComputeGhostClippedGradients(*model, loss, ds, indices, clipper);
+  EXPECT_LE(result.averaged_clipped.L2Norm(), 0.02 + 1e-6);
+}
+
 // Checks ghost-vs-materialized equivalence of the complete
 // PrivateBatchGradient on one model/dataset/clipper combination.
 void CheckEquivalence(Sequential& model, const InMemoryDataset& train,

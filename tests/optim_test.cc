@@ -16,7 +16,6 @@
 #include "optim/dp_adam.h"
 #include "optim/dp_sgd.h"
 #include "optim/geodp_sgd.h"
-#include "optim/ghost_grad.h"
 #include "optim/sgd.h"
 #include "optim/techniques.h"
 #include "tensor/tensor_ops.h"
@@ -128,27 +127,6 @@ TEST(PerSampleGradientTest, MeanLossMatchesSampleLosses) {
   for (double l : result.sample_losses) mean += l;
   mean /= 4.0;
   EXPECT_NEAR(result.mean_loss, mean, 1e-9);
-}
-
-TEST(FastLinearGradTest, ClipBoundHolds) {
-  // The batched path for a Flatten+Linear model is ghost clipping; with
-  // large inputs every sample is clipped, and the average must stay <= C.
-  Rng rng(43);
-  InMemoryDataset ds;
-  std::vector<int64_t> indices;
-  for (int64_t i = 0; i < 8; ++i) {
-    ds.Add(Tensor::Randn({12}, rng, 5.0f), i % 4);
-    indices.push_back(i);
-  }
-  auto model = MakeLogisticRegression(12, 4, rng);
-  const auto params = model->Parameters();
-  params[0]->value = Tensor::Randn({4, 12}, rng);
-  params[1]->value = Tensor::Randn({4}, rng);
-  SoftmaxCrossEntropy loss;
-  const FlatClipper clipper(0.02);
-  const PrivateBatchGradient result =
-      ComputeGhostClippedGradients(*model, loss, ds, indices, clipper);
-  EXPECT_LE(result.averaged_clipped.L2Norm(), 0.02 + 1e-6);
 }
 
 TEST(EvaluateTest, LossAndAccuracyAreConsistent) {

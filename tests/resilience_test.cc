@@ -11,13 +11,13 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "base/byte_view.h"
 #include "base/fault_injection.h"
 #include "base/io/file_io.h"
 #include "base/io/retry.h"
@@ -307,9 +307,9 @@ std::unique_ptr<Sequential> MakeModel(uint64_t seed) {
 
 std::string WeightBytes(Sequential& model) {
   const Tensor flat = FlattenValues(model.Parameters());
-  const geodp::ByteSpan bytes =
-      geodp::AsBytes(flat.data(), static_cast<size_t>(flat.numel()));
-  return std::string(bytes.data, bytes.size);
+  std::string bytes(static_cast<size_t>(flat.numel()) * sizeof(float), '\0');
+  std::memcpy(bytes.data(), flat.data(), bytes.size());
+  return bytes;
 }
 
 TrainerOptions BaseOptions() {

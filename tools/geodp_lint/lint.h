@@ -33,11 +33,11 @@
 //                                 else needs `// geodp: raw-io-ok` with a
 //                                 rationale.
 //   R6  reinterpret_cast ban    — type punning is confined to the audited
-//                                 helper src/base/byte_view.h (AsBytes /
-//                                 AsWritableBytes / FromBytes<T> / PunCast,
-//                                 all static_assert-guarded on trivial
-//                                 copyability); a raw reinterpret_cast
-//                                 anywhere else is a finding.
+//                                 helper src/base/byte_view.h (PunCast,
+//                                 static_assert-guarded to object pointers
+//                                 that keep their constness); a raw
+//                                 reinterpret_cast anywhere else is a
+//                                 finding.
 //   ANN annotation grammar      — a `// geodp: ...` comment that does not
 //                                 parse is itself a finding, so a typo never
 //                                 silently disables a rule.

@@ -338,8 +338,8 @@ void CheckTokenRules(const std::string& path, const PathInfo& info,
       r6_line = line;
       findings.push_back(
           {RuleId::kR6ReinterpretCast, path, line,
-           "reinterpret_cast outside src/base/byte_view.h — use AsBytes / "
-           "AsWritableBytes / FromBytes<T> / PunCast from base/byte_view.h "
+           "reinterpret_cast outside src/base/byte_view.h — use PunCast "
+           "from base/byte_view.h (or std::memcpy for an object's bytes) "
            "so every type pun stays behind the audited, "
            "static_assert-guarded helper"});
     }
