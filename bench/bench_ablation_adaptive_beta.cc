@@ -40,7 +40,7 @@ void Run() {
     options.noise_multiplier = 8.0;
     options.seed = 23;
     DpTrainer trainer(model.get(), &split.train, &split.test, options);
-    return trainer.Train();
+    return trainer.Run().value();
   };
 
   TablePrinter table(

@@ -70,7 +70,7 @@ void Run() {
     options.angle_handling = handling;
     options.seed = 19;
     DpTrainer trainer(model.get(), &split.train, &split.test, options);
-    const TrainingResult result = trainer.Train();
+    const TrainingResult result = trainer.Run().value();
     train_table.AddRow({HandlingName(handling),
                         TablePrinter::Fmt(result.final_train_loss),
                         TablePrinter::Fmt(result.test_accuracy * 100, 2) +

@@ -37,7 +37,7 @@ void Run() {
       options.clipper = clipper;
       options.seed = 23;
       DpTrainer trainer(model.get(), &split.train, &split.test, options);
-      const TrainingResult result = trainer.Train();
+      const TrainingResult result = trainer.Run().value();
       table.AddRow({clipper, PerturbationMethodName(method),
                     TablePrinter::Fmt(result.final_train_loss),
                     TablePrinter::Fmt(result.test_accuracy * 100, 2) + "%"});

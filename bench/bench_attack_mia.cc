@@ -68,7 +68,7 @@ void Run() {
     trainer_options.beta = row.beta;
     trainer_options.seed = 35;
     DpTrainer trainer(model.get(), &members, nullptr, trainer_options);
-    const TrainingResult training = trainer.Train();
+    const TrainingResult training = trainer.Run().value();
     const MiaResult attack =
         RunLossThresholdAttack(*model, members, nonmembers);
     table.AddRow({row.label, TablePrinter::Fmt(attack.auc, 3),

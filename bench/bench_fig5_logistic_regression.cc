@@ -43,7 +43,7 @@ std::vector<double> RunCurve(const InMemoryDataset& train,
   options.seed = 7;
   AttachObserver(options);
   DpTrainer trainer(model.get(), &train, nullptr, options);
-  return trainer.Train().loss_history;
+  return trainer.Run().value().loss_history;
 }
 
 void EmitCurves(const std::string& id, const std::string& paper_setup,

@@ -69,7 +69,7 @@ double RunAccuracy(const SplitDataset& data, const Config& config,
   options.selective_update = config.sur;
   options.seed = 99;
   DpTrainer trainer(model.get(), &data.train, &data.test, options);
-  return trainer.Train().test_accuracy;
+  return trainer.Run().value().test_accuracy;
 }
 
 void Run() {
@@ -176,7 +176,7 @@ ClipTimingRow TimeClipMode(const SplitDataset& data,
   options.seed = 99;
   DpTrainer trainer(model.get(), &data.train, nullptr, options);
   const Timer timer;
-  trainer.Train();
+  trainer.Run().value();
   const double seconds = timer.ElapsedSeconds();
   ClipTimingRow row;
   row.name =

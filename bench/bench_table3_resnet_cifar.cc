@@ -52,7 +52,7 @@ double RunAccuracy(const SplitDataset& data, const Config& config,
   options.selective_update = config.sur;
   options.seed = 111;
   DpTrainer trainer(model.get(), &data.train, &data.test, options);
-  return trainer.Train().test_accuracy;
+  return trainer.Run().value().test_accuracy;
 }
 
 void Run() {

@@ -102,7 +102,7 @@ void Run() {
   reference_options.seed = 43;
   DpTrainer reference_trainer(reference.get(), &data.train, nullptr,
                               reference_options);
-  reference_trainer.Train();
+  reference_trainer.Run().value();
   const Tensor optimum = FlattenValues(reference->Parameters());
 
   TablePrinter table({"strategy", "mean Item A", "mean |Item B|",

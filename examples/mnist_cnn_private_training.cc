@@ -59,7 +59,7 @@ int main() {
         spec.method == PerturbationMethod::kNoiseFree ? 0.0 : kSigma;
     options.seed = 6;
     DpTrainer trainer(model.get(), &train, &test, options);
-    const TrainingResult result = trainer.Train();
+    const TrainingResult result = trainer.Run().value();
     std::printf("%-24s %12.4f %11.2f%% %10.3f\n", spec.label.c_str(),
                 result.final_train_loss, result.test_accuracy * 100,
                 result.epsilon);

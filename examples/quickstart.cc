@@ -39,7 +39,7 @@ int main() {
   options.seed = 3;
 
   DpTrainer trainer(model.get(), &train, &test, options);
-  const TrainingResult result = trainer.Train();
+  const TrainingResult result = trainer.Run().value();
 
   std::printf("GeoDP-SGD quickstart\n");
   std::printf("  iterations        : %lld\n",

@@ -58,7 +58,7 @@ int main() {
     options.delta = kDelta;
     options.seed = 53;
     DpTrainer trainer(model.get(), &train, &test, options);
-    const TrainingResult result = trainer.Train();
+    const TrainingResult result = trainer.Run().value();
     std::printf("%-22s test acc %.2f%%  achieved eps %.3f\n", label,
                 result.test_accuracy * 100, result.epsilon);
     return result;

@@ -51,13 +51,16 @@ BatchSamplerState BatchSampler::ExportState() const {
   return state;
 }
 
-void BatchSampler::ImportState(const BatchSamplerState& state) {
-  GEODP_CHECK_EQ(state.order.size(), order_.size());
-  GEODP_CHECK(state.cursor >= 0 &&
-              state.cursor <= static_cast<int64_t>(state.order.size()));
+Status BatchSampler::ImportState(const BatchSamplerState& state) {
+  if (state.order.size() != order_.size() || state.cursor < 0 ||
+      state.cursor > static_cast<int64_t>(state.order.size())) {
+    return Status::FailedPrecondition(
+        "batch-sampler state does not fit this dataset");
+  }
   rng_.ImportState(state.rng);
   order_ = state.order;
   cursor_ = state.cursor;
+  return Status::Ok();
 }
 
 PoissonSampler::PoissonSampler(int64_t dataset_size, double sampling_rate,

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "base/rng.h"
+#include "base/status.h"
 
 namespace geodp {
 
@@ -41,9 +42,10 @@ class BatchSampler {
 
   int64_t batch_size() const { return batch_size_; }
 
-  /// Checkpoint support: snapshot / restore the full sampler state.
+  /// Checkpoint support: snapshot / restore the full sampler state. A
+  /// state that does not fit this dataset fails with FailedPrecondition.
   BatchSamplerState ExportState() const;
-  void ImportState(const BatchSamplerState& state);
+  Status ImportState(const BatchSamplerState& state);
 
  private:
   void StartEpoch();

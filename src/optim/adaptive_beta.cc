@@ -49,12 +49,15 @@ AdaptiveBetaState AdaptiveBetaController::ExportState() const {
   return state;
 }
 
-void AdaptiveBetaController::ImportState(const AdaptiveBetaState& state) {
-  GEODP_CHECK_GE(state.observations, 0);
-  GEODP_CHECK_EQ(state.min_angle.size(), state.max_angle.size());
+Status AdaptiveBetaController::ImportState(const AdaptiveBetaState& state) {
+  if (state.observations < 0 ||
+      state.min_angle.size() != state.max_angle.size()) {
+    return Status::FailedPrecondition("adaptive-beta state is inconsistent");
+  }
   observations_ = state.observations;
   min_angle_ = state.min_angle;
   max_angle_ = state.max_angle;
+  return Status::Ok();
 }
 
 double AdaptiveBetaController::CurrentBeta() const {

@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "base/status.h"
 #include "core/spherical.h"
 
 namespace geodp {
@@ -45,9 +46,10 @@ class AdaptiveBetaController {
 
   int64_t observations() const { return observations_; }
 
-  /// Checkpoint support: snapshot / restore the decayed envelope.
+  /// Checkpoint support: snapshot / restore the decayed envelope. An
+  /// inconsistent envelope fails with FailedPrecondition.
   AdaptiveBetaState ExportState() const;
-  void ImportState(const AdaptiveBetaState& state);
+  Status ImportState(const AdaptiveBetaState& state);
 
  private:
   double floor_;

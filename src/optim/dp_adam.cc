@@ -23,13 +23,16 @@ FlatAdamState FlatAdam::ExportState() const {
   return state;
 }
 
-void FlatAdam::ImportState(const FlatAdamState& state) {
-  GEODP_CHECK_EQ(state.m.numel(), m_.numel());
-  GEODP_CHECK_EQ(state.v.numel(), v_.numel());
-  GEODP_CHECK_GE(state.step, 0);
+Status FlatAdam::ImportState(const FlatAdamState& state) {
+  if (state.m.numel() != m_.numel() || state.v.numel() != v_.numel() ||
+      state.step < 0) {
+    return Status::FailedPrecondition(
+        "optimizer state does not fit this model");
+  }
   m_ = state.m;
   v_ = state.v;
   step_ = state.step;
+  return Status::Ok();
 }
 
 void FlatAdam::Step(const std::vector<Parameter*>& params,

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "base/status.h"
 #include "nn/parameter.h"
 #include "tensor/tensor.h"
 
@@ -44,8 +45,9 @@ class FlatAdam {
   int64_t step_count() const { return step_; }
 
   /// Checkpoint support: snapshot / restore moments and step counter.
+  /// Moments of another size fail with FailedPrecondition.
   FlatAdamState ExportState() const;
-  void ImportState(const FlatAdamState& state);
+  Status ImportState(const FlatAdamState& state);
 
  private:
   AdamOptions options_;

@@ -70,23 +70,29 @@ ImportanceSamplerState ImportanceSampler::ExportState() const {
   return state;
 }
 
-void ImportanceSampler::ImportState(const ImportanceSamplerState& state) {
-  GEODP_CHECK_EQ(state.weights.size(), weights_.size());
-  GEODP_CHECK_EQ(state.seen.size(), seen_.size());
+Status ImportanceSampler::ImportState(const ImportanceSamplerState& state) {
+  if (state.weights.size() != weights_.size() ||
+      state.seen.size() != seen_.size()) {
+    return Status::FailedPrecondition(
+        "importance-sampler state does not fit this dataset");
+  }
   rng_.ImportState(state.rng);
   weights_ = state.weights;
   seen_.assign(state.seen.begin(), state.seen.end());
+  return Status::Ok();
 }
 
 SelectiveUpdater::SelectiveUpdater(double tolerance) : tolerance_(tolerance) {
   GEODP_CHECK_GE(tolerance_, 0.0);
 }
 
-void SelectiveUpdater::RestoreCounts(int64_t accepted, int64_t rejected) {
-  GEODP_CHECK_GE(accepted, 0);
-  GEODP_CHECK_GE(rejected, 0);
+Status SelectiveUpdater::RestoreCounts(int64_t accepted, int64_t rejected) {
+  if (accepted < 0 || rejected < 0) {
+    return Status::FailedPrecondition("SUR counters are inconsistent");
+  }
   accepted_ = accepted;
   rejected_ = rejected;
+  return Status::Ok();
 }
 
 bool SelectiveUpdater::ShouldAccept(double loss_before, double loss_after) {

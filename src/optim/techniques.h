@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "base/rng.h"
+#include "base/status.h"
 
 namespace geodp {
 
@@ -41,9 +42,10 @@ class ImportanceSampler {
   /// Current sampling weight of an example (exposed for tests).
   double weight(int64_t index) const;
 
-  /// Checkpoint support: snapshot / restore the full sampler state.
+  /// Checkpoint support: snapshot / restore the full sampler state. A
+  /// state that does not fit this dataset fails with FailedPrecondition.
   ImportanceSamplerState ExportState() const;
-  void ImportState(const ImportanceSamplerState& state);
+  Status ImportState(const ImportanceSamplerState& state);
 
  private:
   int64_t dataset_size_;
@@ -67,8 +69,9 @@ class SelectiveUpdater {
   int64_t accepted() const { return accepted_; }
   int64_t rejected() const { return rejected_; }
 
-  /// Checkpoint support: restores the acceptance counters.
-  void RestoreCounts(int64_t accepted, int64_t rejected);
+  /// Checkpoint support: restores the acceptance counters. A negative
+  /// count fails with FailedPrecondition.
+  Status RestoreCounts(int64_t accepted, int64_t rejected);
 
  private:
   double tolerance_;

@@ -159,9 +159,6 @@ class DpTrainer {
   /// resume directory whose checkpoints do not match this run.
   StatusOr<TrainingResult> Run();
 
-  /// Legacy wrapper around Run() that aborts on error.
-  TrainingResult Train();
-
   const TrainerOptions& options() const { return options_; }
 
  private:

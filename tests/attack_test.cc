@@ -59,7 +59,7 @@ TEST(MiaTest, OverfitModelLeaksMembership) {
   trainer_options.clip_threshold = 1.0;
   trainer_options.seed = 7;
   DpTrainer trainer(model.get(), &members, nullptr, trainer_options);
-  trainer.Train();
+  trainer.Run().value();
 
   const MiaResult result = RunLossThresholdAttack(*model, members, nonmembers);
   EXPECT_GT(result.auc, 0.6);
@@ -92,7 +92,7 @@ TEST(MiaTest, DpNoiseReducesAttackSuccess) {
     trainer_options.beta = 0.005;
     trainer_options.seed = 10;
     DpTrainer trainer(model.get(), &members, nullptr, trainer_options);
-    trainer.Train();
+    trainer.Run().value();
     return RunLossThresholdAttack(*model, members, nonmembers).auc;
   };
 
@@ -162,7 +162,7 @@ TEST(AdaptiveBetaTest, TrainerIntegration) {
   trainer_options.noise_multiplier = 1.0;
   trainer_options.seed = 15;
   DpTrainer trainer(model.get(), &train, nullptr, trainer_options);
-  const TrainingResult result = trainer.Train();
+  const TrainingResult result = trainer.Run().value();
   EXPECT_GT(result.final_beta, 0.0);
   EXPECT_LT(result.final_beta, 1.0);  // adapted below the ceiling
 }

@@ -201,7 +201,7 @@ TEST(BatchSamplerTest, StateRoundTripContinuesExactSequence) {
   const BatchSamplerState snapshot = original.ExportState();
 
   BatchSampler restored(50, 8, 999);  // different seed: state must win
-  restored.ImportState(snapshot);
+  ASSERT_TRUE(restored.ImportState(snapshot).ok());
   for (int i = 0; i < 40; ++i) {
     EXPECT_EQ(restored.NextBatch(), original.NextBatch()) << "batch " << i;
   }

@@ -434,7 +434,7 @@ TEST(TrainerGhostTest, GhostModeTrainsAndConverges) {
   options.clip_threshold = 0.5;
   options.seed = 3;
   DpTrainer trainer(model.get(), &train, &train, options);
-  const TrainingResult result = trainer.Train();
+  const TrainingResult result = trainer.Run().value();
 
   EXPECT_LT(result.final_train_loss, before * 0.7);
   EXPECT_GT(result.test_accuracy, 0.5);
@@ -454,7 +454,7 @@ TEST(TrainerGhostTest, GhostMatchesMaterializeTrajectory) {
     options.record_loss_every = 1;
     options.seed = 5;
     DpTrainer trainer(model.get(), &train, nullptr, options);
-    return trainer.Train();
+    return trainer.Run().value();
   };
   const TrainingResult materialize = run("materialize");
   const TrainingResult ghost = run("ghost");

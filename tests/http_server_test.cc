@@ -600,7 +600,7 @@ TEST(ServerTest, PublisherDoesNotChangeTelemetry) {
     TrainingStatusPublisher publisher;
     if (with_publisher) options.status_publisher = &publisher;
     DpTrainer trainer(model.get(), &train, nullptr, options);
-    trainer.Train();
+    trainer.Run().value();
     std::string serialized;
     for (const StepRecord& record : observer.records()) {
       serialized += StepRecordToJson(record) + "\n";
@@ -627,7 +627,7 @@ TEST(ServerTest, MetricsBytesIdenticalAcrossThreadCounts) {
     TrainingStatusPublisher publisher;
     options.status_publisher = &publisher;
     DpTrainer trainer(model.get(), &train, nullptr, options);
-    trainer.Train();
+    trainer.Run().value();
     SetGlobalThreadCount(0);
     const IntrospectionResponse response = RouteIntrospectionRequest(
         "GET", "/metrics", &MetricsRegistry::Global(), &publisher,

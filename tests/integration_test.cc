@@ -62,7 +62,7 @@ TEST_P(TrainerComboTest, RunsAndStaysFinite) {
   if (feature == "adaptive") options.adaptive_beta = true;
 
   DpTrainer trainer(model.get(), &train, &train, options);
-  const TrainingResult result = trainer.Train();
+  const TrainingResult result = trainer.Run().value();
   EXPECT_TRUE(std::isfinite(result.final_train_loss));
   EXPECT_GE(result.test_accuracy, 0.0);
   EXPECT_LE(result.test_accuracy, 1.0);
@@ -94,7 +94,7 @@ TEST(CheckpointResumeTest, TrainingContinuesFromCheckpoint) {
   options.seed = 73;
   {
     DpTrainer trainer(continuous.get(), &train, nullptr, options);
-    trainer.Train();
+    trainer.Run().value();
   }
 
   // Train 30 iterations with a save/load round-trip in the middle. With a
@@ -105,7 +105,7 @@ TEST(CheckpointResumeTest, TrainingContinuesFromCheckpoint) {
     TrainerOptions first_half = options;
     first_half.iterations = 30;
     DpTrainer trainer(resumed.get(), &train, nullptr, first_half);
-    trainer.Train();
+    trainer.Run().value();
   }
   ASSERT_TRUE(SaveCheckpoint(*resumed, path).ok());
   Rng rng_c(999);
@@ -128,7 +128,7 @@ TEST(BudgetConsistencyTest, TrainerEpsilonMatchesCalibration) {
   options.noise_multiplier = 1.5;
   options.seed = 83;
   DpTrainer trainer(model.get(), &train, nullptr, options);
-  const TrainingResult result = trainer.Train();
+  const TrainingResult result = trainer.Run().value();
   const double expected =
       TrainingRunEpsilon(
           NoiseMultiplier(1.5),
@@ -155,7 +155,7 @@ TEST(BudgetConsistencyTest, SurSpendsMoreBudgetWhenRejecting) {
     options.noise_multiplier = 3.0;
     options.seed = 93;
     DpTrainer trainer(model.get(), &train, nullptr, options);
-    return trainer.Train().epsilon;
+    return trainer.Run().value().epsilon;
   };
   EXPECT_GE(run(true), run(false));
 }

@@ -333,7 +333,7 @@ TEST(StepObserverTest, TelemetryByteIdenticalAcrossThreadCounts) {
     CollectingStepObserver observer;
     options.step_observer = &observer;
     DpTrainer trainer(model.get(), &train, nullptr, options);
-    trainer.Train();
+    trainer.Run().value();
     std::string serialized;
     for (const StepRecord& record : observer.records()) {
       serialized += StepRecordToJson(record) + "\n";
@@ -370,7 +370,7 @@ TEST(StepObserverTest, TrainerFillsRecordsWithConsistentTelemetry) {
   options.step_observer = &observer;
   MetricsRegistry::Global().Reset();
   DpTrainer trainer(model.get(), &train, nullptr, options);
-  const TrainingResult result = trainer.Train();
+  const TrainingResult result = trainer.Run().value();
 
   ASSERT_EQ(observer.records().size(), 6u);
   double last_epsilon = 0.0;

@@ -183,7 +183,7 @@ TEST(ParallelDeterminismTest, TrainedWeightsBitIdenticalAcrossThreadCounts) {
       options.noise_multiplier = 1.0;
       options.seed = 53;
       DpTrainer trainer(model.get(), &train, nullptr, options);
-      trainer.Train();
+      trainer.Run().value();
       return FlattenValues(model->Parameters());
     });
     EXPECT_EQ(MaxAbsDiff(serial, parallel), 0.0)

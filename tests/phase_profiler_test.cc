@@ -189,7 +189,7 @@ std::string RunTelemetry(const InMemoryDataset& train, int threads,
   CollectingStepObserver observer;
   options.step_observer = &observer;
   DpTrainer trainer(model.get(), &train, nullptr, options);
-  trainer.Train();
+  trainer.Run().value();
   SetGlobalThreadCount(0);
   DisableProfiling();
   ResetProfile();

@@ -541,7 +541,7 @@ TEST_F(SimdTierDeterminismTest, TrainedWeightsBitIdenticalPerTier) {
       options.noise_multiplier = 1.0;
       options.seed = 53;
       DpTrainer trainer(model.get(), &train, nullptr, options);
-      trainer.Train();
+      trainer.Run().value();
       return FlattenValues(model->Parameters());
     });
     EXPECT_EQ(MaxAbsDiff(serial, parallel), 0.0);
@@ -598,7 +598,7 @@ TEST_F(SimdTierDeterminismTest, TiersAgreeOnTrainingWithinTolerance) {
     options.noise_multiplier = 1.0;
     options.seed = 71;
     DpTrainer trainer(model.get(), &train, nullptr, options);
-    trainer.Train();
+    trainer.Run().value();
     return FlattenValues(model->Parameters());
   };
 
