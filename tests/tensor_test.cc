@@ -1,6 +1,9 @@
 // Tests for the tensor library and its free-function ops.
 
 #include <cmath>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -170,6 +173,31 @@ TEST(TensorOpsTest, TransposeMatchesMatmulIdentity) {
   EXPECT_EQ(at.dim(0), 4);
   EXPECT_EQ(at.dim(1), 3);
   EXPECT_EQ(at.at({2, 1}), a.at({1, 2}));
+}
+
+TEST(TensorOpsTest, TransposeMapsEveryElementExactly) {
+  // Edge shapes, shapes either side of the copy's cache-block size, and
+  // the wide MLP's first weight. Each element holds its own flat index,
+  // so any wrong index map shows up as a mismatch.
+  const std::vector<std::pair<int64_t, int64_t>> shapes = {
+      {1, 1},  {1, 77},  {77, 1},  {15, 17},  {16, 16},  {17, 15},
+      {31, 33}, {32, 32}, {33, 31}, {63, 65}, {64, 64}, {65, 129},
+      {768, 196}};
+  for (const auto& [m, n] : shapes) {
+    SCOPED_TRACE(std::to_string(m) + "x" + std::to_string(n));
+    Tensor a({m, n});
+    for (int64_t i = 0; i < a.numel(); ++i) a[i] = static_cast<float>(i);
+    const Tensor out = Transpose(a);
+    ASSERT_EQ(out.dim(0), n);
+    ASSERT_EQ(out.dim(1), m);
+    int64_t mismatches = 0;
+    for (int64_t i = 0; i < m; ++i) {
+      for (int64_t j = 0; j < n; ++j) {
+        if (out[j * m + i] != a[i * n + j]) ++mismatches;
+      }
+    }
+    EXPECT_EQ(mismatches, 0);
+  }
 }
 
 TEST(TensorOpsTest, ArgMaxRows) {
