@@ -37,7 +37,9 @@ Tensor ClientDelta(Sequential& model, const InMemoryDataset& shard,
   const auto params = model.Parameters();
   SetValuesFromFlat(params, global_flat);
   SoftmaxCrossEntropy loss;
-  const FlatClipper clipper(1e9);  // local steps are not clipped per-sample
+  // Local steps are not clipped per-sample: at this threshold every clip
+  // scale is exactly 1, so averaged_clipped is the plain average.
+  const FlatClipper clipper(1e9);
   for (int step = 0; step < kLocalSteps; ++step) {
     std::vector<int64_t> batch;
     for (int64_t i = 0; i < kLocalBatch; ++i) {
@@ -46,7 +48,7 @@ Tensor ClientDelta(Sequential& model, const InMemoryDataset& shard,
     }
     const PrivateBatchGradient grads =
         ComputePerSampleGradients(model, loss, shard, batch, clipper);
-    ApplyFlatUpdate(params, grads.averaged_raw, kClientLr);
+    ApplyFlatUpdate(params, grads.averaged_clipped, kClientLr);
   }
   Tensor delta = Sub(global_flat, FlattenValues(params));
   // Clip the *update* to bound each client's contribution.

@@ -35,8 +35,29 @@ Tensor Conv2d::Forward(const Tensor& input) {
 }
 
 Tensor Conv2d::Backward(const Tensor& grad_output) {
-  return impl_ == ConvImpl::kIm2Col ? BackwardIm2Col(grad_output)
-                                    : BackwardDirect(grad_output);
+  return impl_ == ConvImpl::kIm2Col
+             ? BackwardIm2Col(grad_output, /*input_grad=*/true)
+             : BackwardDirect(grad_output);
+}
+
+Tensor Conv2d::GhostBackward(
+    const Tensor& grad_output,
+    std::vector<double>& ghost_norm_sq) {  // geodp: per-sample norms out
+  return GhostPass(grad_output, ghost_norm_sq,  // geodp: per-sample
+                   /*input_grad=*/true);
+}
+
+void Conv2d::BackwardParameters(
+    const Tensor& grad_output,
+    std::vector<double>* ghost_norm_sq) {  // geodp: per-sample norms out
+  if (ghost_norm_sq != nullptr) {  // geodp: per-sample
+    GhostPass(grad_output, *ghost_norm_sq,  // geodp: per-sample
+              /*input_grad=*/false);
+  } else if (impl_ == ConvImpl::kIm2Col) {
+    BackwardIm2Col(grad_output, /*input_grad=*/false);
+  } else {
+    BackwardDirect(grad_output);
+  }
 }
 
 Tensor Conv2d::ForwardIm2Col(const Tensor& input) {
@@ -72,7 +93,7 @@ Tensor Conv2d::ForwardIm2Col(const Tensor& input) {
   return output;
 }
 
-Tensor Conv2d::BackwardIm2Col(const Tensor& grad_output) {
+Tensor Conv2d::BackwardIm2Col(const Tensor& grad_output, bool input_grad) {
   GEODP_CHECK_EQ(grad_output.ndim(), 4);
   const Tensor& input = cached_input_;
   const int64_t batch = input.dim(0);
@@ -84,10 +105,11 @@ Tensor Conv2d::BackwardIm2Col(const Tensor& grad_output) {
   const int64_t kk = in_channels_ * kernel_size_ * kernel_size_;
   const int64_t spatial = out_h * out_w;
   const int64_t image_size = in_channels_ * in_h * in_w;
-  const Tensor weight_matrix =
-      weight_.value.Reshape({out_channels_, kk});
+  const Tensor weight_t =
+      input_grad ? Transpose(weight_.value.Reshape({out_channels_, kk}))
+                 : Tensor();
   Tensor weight_grad_matrix({out_channels_, kk});
-  Tensor grad_input(input.shape());
+  Tensor grad_input = input_grad ? Tensor(input.shape()) : Tensor();
 
   for (int64_t b = 0; b < batch; ++b) {
     Tensor image({in_channels_, in_h, in_w});
@@ -101,11 +123,12 @@ Tensor Conv2d::BackwardIm2Col(const Tensor& grad_output) {
               gy.data());
     // dW += dY @ cols^T; dX_cols = W^T @ dY.
     weight_grad_matrix.AddInPlace(Matmul(gy, Transpose(columns)));
-    const Tensor grad_columns = Matmul(Transpose(weight_matrix), gy);
-    const Tensor grad_image = Col2Im(grad_columns, in_channels_, in_h, in_w,
-                                     kernel_size_, padding_);
-    std::copy(grad_image.data(), grad_image.data() + image_size,
-              grad_input.data() + b * image_size);
+    if (input_grad) {
+      const Tensor grad_image = Col2Im(Matmul(weight_t, gy), in_channels_,
+                                       in_h, in_w, kernel_size_, padding_);
+      std::copy(grad_image.data(), grad_image.data() + image_size,
+                grad_input.data() + b * image_size);
+    }
     if (with_bias_) {
       for (int64_t oc = 0; oc < out_channels_; ++oc) {
         double sum = 0.0;
@@ -214,9 +237,10 @@ Tensor Conv2d::BackwardDirect(const Tensor& grad_output) {
   return grad_input;
 }
 
-Tensor Conv2d::GhostBackward(
+Tensor Conv2d::GhostPass(
     const Tensor& grad_output,
-    std::vector<double>& ghost_norm_sq) {  // geodp: per-sample norms out
+    std::vector<double>& ghost_norm_sq,  // geodp: per-sample norms out
+    bool input_grad) {
   GEODP_CHECK_EQ(grad_output.ndim(), 4);
   const Tensor& input = cached_input_;
   const int64_t batch = input.dim(0);
@@ -231,8 +255,9 @@ Tensor Conv2d::GhostBackward(
   const int64_t spatial = out_h * out_w;
   const int64_t image_size = in_channels_ * in_h * in_w;
   const Tensor weight_t =
-      Transpose(weight_.value.Reshape({out_channels_, kk}));  // [kk, OC]
-  Tensor grad_input(input.shape());
+      input_grad ? Transpose(weight_.value.Reshape({out_channels_, kk}))
+                 : Tensor();  // [kk, OC]
+  Tensor grad_input = input_grad ? Tensor(input.shape()) : Tensor();
   cached_grad_output_ = grad_output;
   if (cached_columns_t_.numel() != batch * spatial * kk) {
     cached_columns_t_ = Tensor({batch, spatial, kk});
@@ -243,7 +268,7 @@ Tensor Conv2d::GhostBackward(
   // per-sample tensors are allocated.
   Tensor cols({kk, spatial});
   Tensor sample_grad({out_channels_, kk});  // geodp: per-sample (transient)
-  Tensor grad_cols({kk, spatial});
+  Tensor grad_cols = input_grad ? Tensor({kk, spatial}) : Tensor();
 
   for (int64_t b = 0; b < batch; ++b) {
     Im2ColInto(input.data() + b * image_size, in_channels_, in_h, in_w,
@@ -281,6 +306,7 @@ Tensor Conv2d::GhostBackward(
 
     // dL/dinput exactly as BackwardIm2Col computes it (no parameter
     // gradients are touched in this pass).
+    if (!input_grad) continue;
     std::fill(grad_cols.data(), grad_cols.data() + kk * spatial, 0.0f);
     simd::MatmulRowBlock(weight_t.data(), gy, grad_cols.data(), 0, kk,
                          out_channels_, spatial);

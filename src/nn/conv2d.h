@@ -41,6 +41,11 @@ class Conv2d : public Layer {
       const Tensor& grad_output,
       std::vector<double>& ghost_norm_sq) override;  // geodp: per-sample
   void GhostAccumulate(const std::vector<double>& weights) override;
+  // Skips each sample's W^T gy and Col2Im (im2col and ghost passes; the
+  // direct loops compute dX alongside dW and run in full).
+  void BackwardParameters(
+      const Tensor& grad_output,
+      std::vector<double>* ghost_norm_sq) override;  // geodp: per-sample
 
   std::string name() const override { return "Conv2d"; }
 
@@ -54,7 +59,12 @@ class Conv2d : public Layer {
   Tensor ForwardDirect(const Tensor& input);
   Tensor BackwardDirect(const Tensor& grad_output);
   Tensor ForwardIm2Col(const Tensor& input);
-  Tensor BackwardIm2Col(const Tensor& grad_output);
+  // With input_grad false these return an empty tensor and skip the
+  // input gradient.
+  Tensor BackwardIm2Col(const Tensor& grad_output, bool input_grad);
+  Tensor GhostPass(const Tensor& grad_output,
+                   std::vector<double>& ghost_norm_sq,  // geodp: per-sample
+                   bool input_grad);
 
   int64_t in_channels_;
   int64_t out_channels_;

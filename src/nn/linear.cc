@@ -39,6 +39,29 @@ Tensor Linear::Forward(const Tensor& input) {
 }
 
 Tensor Linear::Backward(const Tensor& grad_output) {
+  AccumulateGradients(grad_output);
+  // dx[b, i] = sum_o dy[b, o] * W[o, i]
+  return Matmul(grad_output, weight_.value);
+}
+
+Tensor Linear::GhostBackward(
+    const Tensor& grad_output,
+    std::vector<double>& ghost_norm_sq) {  // geodp: per-sample norms out
+  AddGhostNorms(grad_output, ghost_norm_sq);  // geodp: per-sample
+  return Matmul(grad_output, weight_.value);
+}
+
+void Linear::BackwardParameters(
+    const Tensor& grad_output,
+    std::vector<double>* ghost_norm_sq) {  // geodp: per-sample norms out
+  if (ghost_norm_sq == nullptr) {  // geodp: per-sample
+    AccumulateGradients(grad_output);
+  } else {
+    AddGhostNorms(grad_output, *ghost_norm_sq);  // geodp: per-sample
+  }
+}
+
+void Linear::AccumulateGradients(const Tensor& grad_output) {
   GEODP_CHECK_EQ(grad_output.ndim(), 2);
   GEODP_CHECK_EQ(grad_output.dim(0), cached_input_.dim(0));
   GEODP_CHECK_EQ(grad_output.dim(1), out_features_);
@@ -52,11 +75,9 @@ Tensor Linear::Backward(const Tensor& grad_output) {
       }
     }
   }
-  // dx[b, i] = sum_o dy[b, o] * W[o, i]
-  return Matmul(grad_output, weight_.value);
 }
 
-Tensor Linear::GhostBackward(
+void Linear::AddGhostNorms(
     const Tensor& grad_output,
     std::vector<double>& ghost_norm_sq) {  // geodp: per-sample norms out
   GEODP_CHECK_EQ(grad_output.ndim(), 2);
@@ -78,7 +99,6 @@ Tensor Linear::GhostBackward(
         gy_sq * (with_bias_ ? x_sq + 1.0 : x_sq);
   }
   cached_grad_output_ = grad_output;
-  return Matmul(grad_output, weight_.value);
 }
 
 void Linear::GhostAccumulate(const std::vector<double>& weights) {

@@ -60,6 +60,21 @@ class Layer {
     (void)weights;
   }
 
+  /// Backward for a layer whose dL/d(input) nothing reads, such as the
+  /// first layer of a model that owns parameters: runs Backward, or
+  /// GhostBackward when ghost_norm_sq is non-null, and drops the input
+  /// gradient. Layers override it to skip computing that gradient; the
+  /// parameter gradients or ghost norms must come out bit-identical.
+  virtual void BackwardParameters(
+      const Tensor& grad_output,
+      std::vector<double>* ghost_norm_sq) {  // geodp: per-sample norms out
+    if (ghost_norm_sq == nullptr) {  // geodp: per-sample
+      (void)Backward(grad_output);
+    } else {
+      (void)GhostBackward(grad_output, *ghost_norm_sq);  // geodp: per-sample
+    }
+  }
+
   virtual std::string name() const = 0;
 };
 

@@ -24,6 +24,27 @@ Tensor Sequential::Backward(const Tensor& grad_output) {
   return grad;
 }
 
+void Sequential::BackwardParameters(
+    const Tensor& grad_output,
+    std::vector<double>* ghost_norm_sq) {  // geodp: per-sample norms out
+  size_t first = 0;
+  while (first < layers_.size() && layers_[first]->Parameters().empty()) {
+    ++first;
+  }
+  if (first == layers_.size()) return;
+  Tensor grad = grad_output;
+  for (size_t i = layers_.size() - 1; i > first; --i) {
+    Layer& layer = *layers_[i];
+    if (ghost_norm_sq == nullptr) {  // geodp: per-sample
+      grad = layer.Backward(grad);
+    } else {
+      grad = layer.GhostBackward(grad, *ghost_norm_sq);  // geodp: per-sample
+    }
+  }
+  layers_[first]->BackwardParameters(grad,
+                                     ghost_norm_sq);  // geodp: per-sample
+}
+
 std::vector<Parameter*> Sequential::Parameters() {
   std::vector<Parameter*> params;
   for (auto& layer : layers_) {

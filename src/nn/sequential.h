@@ -30,6 +30,13 @@ class Sequential : public Layer {
 
   Tensor Forward(const Tensor& input) override;
   Tensor Backward(const Tensor& grad_output) override;
+  /// The backward walk of a training step: runs the layers in reverse down
+  /// to the first one that owns parameters, which gets BackwardParameters
+  /// so no layer computes a gradient nothing reads. Layers before it are
+  /// not run at all.
+  void BackwardParameters(
+      const Tensor& grad_output,
+      std::vector<double>* ghost_norm_sq) override;  // geodp: per-sample
   std::vector<Parameter*> Parameters() override;
   std::string name() const override { return name_.empty() ? "Sequential"
                                                            : name_; }

@@ -28,7 +28,7 @@ constexpr size_t kPipelineBlock = 64;
 PrivateBatchGradient ComputePerSampleGradients(
     Sequential& model, SoftmaxCrossEntropy& loss,
     const InMemoryDataset& dataset, const std::vector<int64_t>& indices,
-    const Clipper& clipper, bool record_sample_norms) {
+    const Clipper& clipper, bool for_step_record) {
   GEODP_CHECK(!indices.empty());
   const std::vector<Parameter*> params = model.Parameters();
   const int64_t flat_dim = TotalParameterCount(params);
@@ -36,9 +36,9 @@ PrivateBatchGradient ComputePerSampleGradients(
   PrivateBatchGradient result;
   result.batch_size = static_cast<int64_t>(indices.size());
   result.averaged_clipped = Tensor({flat_dim});
-  result.averaged_raw = Tensor({flat_dim});
+  if (for_step_record) result.averaged_raw = Tensor({flat_dim});
   result.sample_losses.reserve(indices.size());
-  if (record_sample_norms)
+  if (for_step_record)
     result.sample_grad_norms.reserve(indices.size());  // geodp: per-sample
 
   std::vector<Tensor> block;
@@ -56,7 +56,7 @@ PrivateBatchGradient ComputePerSampleGradients(
         const Tensor x = dataset.StackImages({index});
         const std::vector<int64_t> y = {dataset.label(index)};
         const double sample_loss = loss.Forward(model.Forward(x), y);
-        model.Backward(loss.Backward());
+        model.BackwardParameters(loss.Backward(), nullptr);
         Tensor grad = FlattenGradients(params);
         // Any non-finite gradient element makes the L2 norm non-finite,
         // so one norm (a pass the clipper needs anyway, orders of
@@ -74,14 +74,14 @@ PrivateBatchGradient ComputePerSampleGradients(
         } else {
           ++result.nonfinite_skipped;
         }
-        if (record_sample_norms)
+        if (for_step_record)
           result.sample_grad_norms.push_back(norm);  // geodp: per-sample
         result.sample_losses.push_back(sample_loss);
       }
     }
     const TraceSpan span("step.clip_accumulate");
     AccumulateClipped(block, clipper, result.averaged_clipped);
-    AccumulateSum(block, result.averaged_raw);
+    if (for_step_record) AccumulateSum(block, result.averaged_raw);
     block.clear();
   }
   ZeroGradients(params);

@@ -18,14 +18,18 @@
 namespace geodp {
 
 /// Result of one private gradient computation over a batch.
+/// The step releases only averaged_clipped (plus noise); averaged_raw and
+/// sample_grad_norms feed the step record alone, so they are filled only
+/// when the gradient functions are called with for_step_record.
 struct PrivateBatchGradient {
   Tensor averaged_clipped;  // (1/B) * sum_j clip(g_j)
-  Tensor averaged_raw;      // (1/B) * sum_j g_j  (noise-free reference)
+  // (1/B) * sum_j g_j, the noise-free reference; empty unless
+  // for_step_record (the step record's raw_grad_norm is its only reader).
+  Tensor averaged_raw;
   double mean_loss = 0.0;   // mean per-sample loss over the batch
   std::vector<double> sample_losses;  // per-sample losses, batch order
-  // Pre-clip L2 norm of each per-sample gradient, batch order. Only
-  // filled when requested (telemetry pays for the extra norm pass, the
-  // plain training path does not).
+  // Pre-clip L2 norm of each per-sample gradient, batch order; empty
+  // unless for_step_record (the step record's clip fraction).
   std::vector<double> sample_grad_norms;  // geodp: per-sample
   int64_t batch_size = 0;
   // Samples whose loss or gradient came out non-finite (NaN/Inf). They
@@ -36,14 +40,16 @@ struct PrivateBatchGradient {
   int64_t nonfinite_skipped = 0;
 };
 
-/// Runs each indexed example through the model with batch size 1, clips its
-/// flattened gradient with `clipper`, and returns both the clipped and raw
-/// averages. Leaves the accumulated parameter gradients zeroed. Set
-/// `record_sample_norms` to also fill sample_grad_norms.
+/// Runs each indexed example through the model with batch size 1 (the
+/// backward walk ends at the first parameterized layer, see
+/// Sequential::BackwardParameters), clips its flattened gradient with
+/// `clipper`, and returns the clipped average. Set `for_step_record` to
+/// also fill averaged_raw and sample_grad_norms. Leaves the accumulated
+/// parameter gradients zeroed.
 PrivateBatchGradient ComputePerSampleGradients(
     Sequential& model, SoftmaxCrossEntropy& loss,
     const InMemoryDataset& dataset, const std::vector<int64_t>& indices,
-    const Clipper& clipper, bool record_sample_norms = false);
+    const Clipper& clipper, bool for_step_record = false);
 
 /// Mean loss of the model on up to `max_examples` examples (0 = all),
 /// evaluated in batches. Does not touch gradients.

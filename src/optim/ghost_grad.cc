@@ -17,7 +17,7 @@ bool GhostClipSupported(Sequential& model) {
 PrivateBatchGradient ComputeGhostClippedGradients(
     Sequential& model, SoftmaxCrossEntropy& loss,
     const InMemoryDataset& dataset, const std::vector<int64_t>& indices,
-    const Clipper& clipper, bool record_sample_norms) {
+    const Clipper& clipper, bool for_step_record) {
   GEODP_CHECK(!indices.empty());
   GEODP_CHECK(GhostClipSupported(model));
   const std::vector<Parameter*> params = model.Parameters();
@@ -37,20 +37,17 @@ PrivateBatchGradient ComputeGhostClippedGradients(
     const Tensor x = dataset.StackImages(indices);
     const std::vector<int64_t> y = dataset.GatherLabels(indices);
     loss.Forward(model.Forward(x), y);
-    Tensor grad = loss.BackwardSum();
-    for (size_t i = model.size(); i > 0; --i) {
-      Layer& layer = model.layer(i - 1);
-      grad = layer.GhostBackward(grad, ghost_norm_sq);  // geodp: per-sample
-    }
+    model.BackwardParameters(loss.BackwardSum(),
+                             &ghost_norm_sq);  // geodp: per-sample
   }
 
   const GhostClipper ghost(clipper);
   const GhostBatchWeights weights =
       ghost.Weights(ghost_norm_sq, loss.sample_losses());  // geodp: per-sample
 
-  // Pass 2: weighted accumulation, clipped weights first, then the raw
-  // 0/1 weights for the noise-free reference sum. Flattening between the
-  // passes keeps each sum in its own buffer.
+  // Pass 2: weighted accumulation of the clipped sum, then, only for a
+  // step record, the raw 0/1-weighted noise-free reference sum.
+  // Flattening between the passes keeps each sum in its own buffer.
   {
     const TraceSpan span("step.ghost_accumulate");
     for (size_t i = 0; i < model.size(); ++i) {
@@ -63,11 +60,13 @@ PrivateBatchGradient ComputeGhostClippedGradients(
     }
     result.averaged_clipped = FlattenGradients(params);
     ZeroGradients(params);
-    for (size_t i = 0; i < model.size(); ++i) {
-      model.layer(i).GhostAccumulate(weights.raw);
+    if (for_step_record) {
+      for (size_t i = 0; i < model.size(); ++i) {
+        model.layer(i).GhostAccumulate(weights.raw);
+      }
+      result.averaged_raw = FlattenGradients(params);
+      ZeroGradients(params);
     }
-    result.averaged_raw = FlattenGradients(params);
-    ZeroGradients(params);
   }
 
   // Same averaging and bookkeeping semantics as the materialized path:
@@ -81,7 +80,7 @@ PrivateBatchGradient ComputeGhostClippedGradients(
           ? weights.included_loss_sum / static_cast<double>(weights.included)
           : 0.0;
   result.sample_losses = loss.sample_losses();
-  if (record_sample_norms)
+  if (for_step_record)
     result.sample_grad_norms = weights.norms;  // geodp: per-sample
   result.nonfinite_skipped = weights.nonfinite_skipped;
   return result;

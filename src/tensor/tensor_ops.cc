@@ -20,6 +20,11 @@ constexpr int64_t kMatVecRowGrain = 64;
 // independently of the thread count.
 constexpr int64_t kSumGrain = 4;
 
+// Transpose copies kTransposeBlock x kTransposeBlock tiles (4 KiB of
+// floats): a tile's source and destination cache lines stay resident
+// while it is copied, instead of each strided access touching a new line.
+constexpr int64_t kTransposeBlock = 32;
+
 }  // namespace
 
 Tensor Add(const Tensor& a, const Tensor& b) {
@@ -91,8 +96,16 @@ Tensor Transpose(const Tensor& a) {
   GEODP_CHECK_EQ(a.ndim(), 2);
   const int64_t m = a.dim(0), n = a.dim(1);
   Tensor out({n, m});
-  for (int64_t i = 0; i < m; ++i) {
-    for (int64_t j = 0; j < n; ++j) out[j * m + i] = a[i * n + j];
+  const float* src = a.data();
+  float* dst = out.data();
+  for (int64_t j0 = 0; j0 < n; j0 += kTransposeBlock) {
+    const int64_t j1 = std::min(j0 + kTransposeBlock, n);
+    for (int64_t i0 = 0; i0 < m; i0 += kTransposeBlock) {
+      const int64_t i1 = std::min(i0 + kTransposeBlock, m);
+      for (int64_t j = j0; j < j1; ++j) {
+        for (int64_t i = i0; i < i1; ++i) dst[j * m + i] = src[i * n + j];
+      }
+    }
   }
   return out;
 }

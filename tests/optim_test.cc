@@ -78,8 +78,8 @@ TEST(PerSampleGradientTest, AverageMatchesBatchGradient) {
   SoftmaxCrossEntropy loss;
   const FlatClipper no_clip(1e9);
   std::vector<int64_t> indices = {0, 1, 2, 3, 4, 5, 6, 7};
-  const PrivateBatchGradient per_sample =
-      ComputePerSampleGradients(*model, loss, ds, indices, no_clip);
+  const PrivateBatchGradient per_sample = ComputePerSampleGradients(
+      *model, loss, ds, indices, no_clip, /*for_step_record=*/true);
 
   // Batch gradient.
   const auto params = model->Parameters();

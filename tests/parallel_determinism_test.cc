@@ -151,8 +151,10 @@ TEST(ParallelDeterminismTest, PerSampleGradientsBitIdentical) {
     auto model = MakeLogisticRegression(64, 10, rng);
     SoftmaxCrossEntropy loss;
     const FlatClipper clipper(0.1);
-    return ComputePerSampleGradients(*model, loss, train, indices, clipper);
+    return ComputePerSampleGradients(*model, loss, train, indices, clipper,
+                                     /*for_step_record=*/true);
   });
+  ASSERT_FALSE(serial.averaged_raw.empty());
   EXPECT_EQ(MaxAbsDiff(serial.averaged_clipped, parallel.averaged_clipped),
             0.0);
   EXPECT_EQ(MaxAbsDiff(serial.averaged_raw, parallel.averaged_raw), 0.0);
