@@ -2,13 +2,20 @@
 // finite-difference gradient checks for every layer.
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "base/rng.h"
+#include "base/simd/dispatch.h"
+#include "base/thread_pool.h"
 #include "nn/activations.h"
 #include "nn/conv2d.h"
 #include "nn/flatten.h"
+#include "nn/im2col.h"
 #include "nn/init.h"
 #include "nn/linear.h"
 #include "nn/loss.h"
@@ -400,6 +407,294 @@ TEST(ResidualBlockTest, IdentityPathDominatesWithZeroWeights) {
   const Tensor y = block.Forward(x);
   // F(x) = 0, so out = ReLU(x) = x for positive x.
   EXPECT_TRUE(AllClose(y, x));
+}
+
+// ------------------------------------------- bit-exact per-sample layer path
+//
+// The layers below sit on every sample's forward and backward pass. These
+// tests pin them to test-local copies of the loops they were first written
+// as, bit for bit, on the inputs where a rewrite most easily drifts: NaN,
+// signed zeros, infinities, ties and all-negative windows.
+
+// Index of the first element whose bits differ, or -1.
+int64_t FirstBitMismatch(const Tensor& got, const Tensor& want) {
+  if (got.shape() != want.shape()) return 0;
+  for (int64_t i = 0; i < got.numel(); ++i) {
+    const float g = got[i], w = want[i];
+    if (std::memcmp(&g, &w, sizeof(float)) != 0) return i;
+  }
+  return -1;
+}
+
+// NaN, signed zeros, infinities and subnormals first, then N(0, 1) draws.
+Tensor SpecialValues(std::vector<int64_t> shape, uint64_t seed) {
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float specials[] = {nan,
+                            -nan,
+                            0.0f,
+                            -0.0f,
+                            kInf,
+                            -kInf,
+                            std::numeric_limits<float>::denorm_min(),
+                            -std::numeric_limits<float>::denorm_min(),
+                            std::numeric_limits<float>::max(),
+                            std::numeric_limits<float>::lowest(),
+                            1.0f,
+                            -1.0f};
+  Rng rng(seed);
+  Tensor x = Tensor::Randn(std::move(shape), rng);
+  for (int64_t i = 0; i < x.numel() && i < 12; ++i) x[i] = specials[i];
+  return x;
+}
+
+// The historical ReLU forward: a branch per element.
+Tensor HistoricalRelu(const Tensor& input, Tensor& mask) {
+  mask = Tensor(input.shape());
+  Tensor output = input;
+  for (int64_t i = 0; i < output.numel(); ++i) {
+    if (output[i] > 0.0f) {
+      mask[i] = 1.0f;
+    } else {
+      output[i] = 0.0f;
+    }
+  }
+  return output;
+}
+
+Tensor HistoricalLeakyRelu(const Tensor& input, float slope, Tensor& mask) {
+  mask = Tensor(input.shape());
+  Tensor output = input;
+  for (int64_t i = 0; i < output.numel(); ++i) {
+    if (output[i] > 0.0f) {
+      mask[i] = 1.0f;
+    } else {
+      mask[i] = slope;
+      output[i] *= slope;
+    }
+  }
+  return output;
+}
+
+// The historical MaxPool2d forward: the first element seeds the window's
+// best, and only a strictly greater element replaces it.
+Tensor HistoricalMaxPool(const Tensor& input, int64_t window,
+                         std::vector<int64_t>& argmax) {
+  const int64_t batch = input.dim(0), channels = input.dim(1);
+  const int64_t in_h = input.dim(2), in_w = input.dim(3);
+  const int64_t out_h = in_h / window, out_w = in_w / window;
+  Tensor output({batch, channels, out_h, out_w});
+  argmax.assign(static_cast<size_t>(output.numel()), 0);
+  int64_t out_index = 0;
+  for (int64_t b = 0; b < batch; ++b) {
+    for (int64_t c = 0; c < channels; ++c) {
+      for (int64_t oh = 0; oh < out_h; ++oh) {
+        for (int64_t ow = 0; ow < out_w; ++ow) {
+          int64_t best_index = -1;
+          float best = 0.0f;
+          for (int64_t kh = 0; kh < window; ++kh) {
+            for (int64_t kw = 0; kw < window; ++kw) {
+              const int64_t xi =
+                  ((b * channels + c) * in_h + oh * window + kh) * in_w +
+                  ow * window + kw;
+              if (best_index < 0 || input[xi] > best) {
+                best = input[xi];
+                best_index = xi;
+              }
+            }
+          }
+          output[out_index] = best;
+          argmax[static_cast<size_t>(out_index)] = best_index;
+          ++out_index;
+        }
+      }
+    }
+  }
+  return output;
+}
+
+TEST(ReLUTest, ForwardAndMaskMatchHistoricalLoopBitForBit) {
+  const Tensor x = SpecialValues({3, 2, 4, 5}, 31);
+  Tensor want_mask;
+  const Tensor want = HistoricalRelu(x, want_mask);
+  ReLU relu;
+  EXPECT_EQ(FirstBitMismatch(relu.Forward(x), want), -1);
+  // Backward multiplies by the mask, so a gradient of ones reads it out.
+  EXPECT_EQ(FirstBitMismatch(relu.Backward(Tensor::Full(x.shape(), 1.0f)),
+                             want_mask),
+            -1);
+}
+
+TEST(LeakyReLUTest, ForwardAndMaskMatchHistoricalLoopBitForBit) {
+  const Tensor x = SpecialValues({2, 3, 5, 4}, 32);
+  for (const float slope : {0.01f, 0.1f, 0.0f}) {
+    SCOPED_TRACE(slope);
+    Tensor want_mask;
+    const Tensor want = HistoricalLeakyRelu(x, slope, want_mask);
+    LeakyReLU leaky(slope);
+    EXPECT_EQ(FirstBitMismatch(leaky.Forward(x), want), -1);
+    EXPECT_EQ(FirstBitMismatch(
+                  leaky.Backward(Tensor::Full(x.shape(), 1.0f)), want_mask),
+              -1);
+  }
+}
+
+TEST(MaxPoolTest, ForwardAndArgmaxMatchHistoricalLoopBitForBit) {
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  // A small alphabet makes ties, signed-zero ties, NaN in every window
+  // position and all-negative windows common.
+  const float alphabet[] = {nan,  -nan, 0.0f, -0.0f, -1.0f, -1.0f, 2.0f,
+                            2.0f, kInf, -kInf, -3.5f, 0.25f, -0.5f};
+  for (const int64_t window : {int64_t{2}, int64_t{3}}) {
+    SCOPED_TRACE(window);
+    Rng rng(33 + static_cast<uint64_t>(window));
+    Tensor x({3, 2, 6 * window / 2, 4 * window / 2});
+    for (int64_t i = 0; i < x.numel(); ++i) {
+      x[i] = alphabet[rng.UniformInt(13)];
+    }
+    // Channel 1 of sample 2 is strictly negative: every window's max is
+    // a negative number, never the historical loop's 0.0f seed.
+    const int64_t plane = x.dim(2) * x.dim(3);
+    for (int64_t i = 5 * plane; i < 6 * plane; ++i) {
+      x[i] = -1.0f - static_cast<float>(rng.Uniform());
+    }
+    std::vector<int64_t> want_argmax;
+    const Tensor want = HistoricalMaxPool(x, window, want_argmax);
+
+    MaxPool2d pool(window);
+    EXPECT_EQ(FirstBitMismatch(pool.Forward(x), want), -1);
+    // Distinct output gradients land on each window's argmax, so the
+    // input gradient reads the argmax out exactly.
+    Tensor gy(want.shape());
+    Tensor want_gx(x.shape());
+    for (int64_t i = 0; i < gy.numel(); ++i) {
+      gy[i] = static_cast<float>(i + 1);
+      want_gx[want_argmax[static_cast<size_t>(i)]] += gy[i];
+    }
+    EXPECT_EQ(FirstBitMismatch(pool.Backward(gy), want_gx), -1);
+  }
+}
+
+// Conv2d's im2col path as first written against the public tensor ops: a
+// fresh image, unfold, Matmul and Transpose per sample.
+struct ConvPass {
+  Tensor output, grad_input, weight_grad, bias_grad;
+};
+
+ConvPass HistoricalIm2ColConv(const Tensor& input, const Tensor& weight,
+                              const Tensor& bias, bool with_bias,
+                              int64_t padding, const Tensor& grad_output) {
+  const int64_t batch = input.dim(0), channels = input.dim(1);
+  const int64_t in_h = input.dim(2), in_w = input.dim(3);
+  const int64_t out_c = weight.dim(0), k = weight.dim(2);
+  const int64_t kk = channels * k * k;
+  const int64_t out_h = in_h + 2 * padding - k + 1;
+  const int64_t out_w = in_w + 2 * padding - k + 1;
+  const int64_t spatial = out_h * out_w;
+  const int64_t image_size = channels * in_h * in_w;
+  const Tensor weight_matrix = weight.Reshape({out_c, kk});
+  const Tensor weight_t = Transpose(weight_matrix);
+
+  ConvPass pass;
+  pass.output = Tensor({batch, out_c, out_h, out_w});
+  pass.grad_input = Tensor(input.shape());
+  pass.weight_grad = Tensor(weight.shape());
+  pass.bias_grad = Tensor(bias.shape());
+  Tensor weight_grad_matrix({out_c, kk});
+  for (int64_t b = 0; b < batch; ++b) {
+    Tensor image({channels, in_h, in_w});
+    std::copy(input.data() + b * image_size,
+              input.data() + (b + 1) * image_size, image.data());
+    const Tensor columns = Im2Col(image, k, padding);
+    const Tensor result = Matmul(weight_matrix, columns);
+    for (int64_t oc = 0; oc < out_c; ++oc) {
+      const float bias_value = with_bias ? bias[oc] : 0.0f;
+      for (int64_t i = 0; i < spatial; ++i) {
+        pass.output[(b * out_c + oc) * spatial + i] =
+            result[oc * spatial + i] + bias_value;
+      }
+    }
+
+    Tensor gy({out_c, spatial});
+    std::copy(grad_output.data() + b * out_c * spatial,
+              grad_output.data() + (b + 1) * out_c * spatial, gy.data());
+    weight_grad_matrix.AddInPlace(Matmul(gy, Transpose(columns)));
+    const Tensor grad_image = Col2Im(Matmul(weight_t, gy), channels, in_h,
+                                     in_w, k, padding);
+    std::copy(grad_image.data(), grad_image.data() + image_size,
+              pass.grad_input.data() + b * image_size);
+    if (with_bias) {
+      for (int64_t oc = 0; oc < out_c; ++oc) {
+        double sum = 0.0;
+        for (int64_t i = 0; i < spatial; ++i)
+          sum += static_cast<double>(gy[oc * spatial + i]);
+        pass.bias_grad[oc] += static_cast<float>(sum);
+      }
+    }
+  }
+  pass.weight_grad.AddInPlace(weight_grad_matrix.Reshape(weight.shape()));
+  return pass;
+}
+
+TEST(Conv2dTest, Im2ColMatchesHistoricalCompositionBitForBit) {
+  struct Shape {
+    int64_t in_c, out_c, k, padding;
+    bool with_bias;
+    int64_t batch, h, w;
+  };
+  // The CNN's two convolutions, then odd shapes with and without bias.
+  const Shape shapes[] = {{1, 6, 3, 1, true, 3, 14, 14},
+                          {6, 12, 3, 0, true, 2, 7, 7},
+                          {2, 3, 3, 1, false, 2, 5, 6},
+                          {3, 4, 2, 0, false, 1, 6, 5}};
+  const SimdTier entry_tier = ActiveSimdTier();
+  const int entry_threads = GetGlobalThreadCount();
+  for (const Shape& s : shapes) {
+    Rng rng(40 + static_cast<uint64_t>(s.in_c));
+    Conv2d layer(s.in_c, s.out_c, s.k, rng, s.padding, s.with_bias);
+    const std::vector<Parameter*> params = layer.Parameters();
+    if (s.with_bias) params[1]->value = Tensor::Randn({s.out_c}, rng);
+    // ReLU-like inputs and sparse output gradients put zeros on both
+    // sides of every matmul, as on the CNN's per-sample pass.
+    Tensor x = Tensor::Randn({s.batch, s.in_c, s.h, s.w}, rng);
+    for (int64_t i = 0; i < x.numel(); ++i) x[i] = x[i] > 0.0f ? x[i] : 0.0f;
+    const int64_t out_h = s.h + 2 * s.padding - s.k + 1;
+    const int64_t out_w = s.w + 2 * s.padding - s.k + 1;
+    Tensor gy = Tensor::Randn({s.batch, s.out_c, out_h, out_w}, rng);
+    for (int64_t i = 0; i < gy.numel(); i += 3) gy[i] = 0.0f;
+    for (int64_t i = 1; i < gy.numel(); i += 7) gy[i] = -0.0f;
+    const Tensor bias = s.with_bias ? params[1]->value : Tensor({s.out_c});
+
+    for (const SimdTier tier : AvailableSimdTiers()) {
+      SetSimdTier(tier);
+      const ConvPass want = HistoricalIm2ColConv(
+          x, params[0]->value, bias, s.with_bias, s.padding, gy);
+      for (const int threads : {1, 4}) {
+        SetGlobalThreadCount(threads);
+        SCOPED_TRACE(std::string(SimdTierName(tier)) + " threads " +
+                     std::to_string(threads) + " in_c " +
+                     std::to_string(s.in_c));
+        ZeroGradients(params);
+        EXPECT_EQ(FirstBitMismatch(layer.Forward(x), want.output), -1);
+        EXPECT_EQ(FirstBitMismatch(layer.Backward(gy), want.grad_input), -1);
+        EXPECT_EQ(FirstBitMismatch(params[0]->grad, want.weight_grad), -1);
+        if (s.with_bias) {
+          EXPECT_EQ(FirstBitMismatch(params[1]->grad, want.bias_grad), -1);
+        }
+        // The parameter-only walk leaves out dX but not dW or db.
+        ZeroGradients(params);
+        layer.Forward(x);
+        layer.BackwardParameters(gy, nullptr);
+        EXPECT_EQ(FirstBitMismatch(params[0]->grad, want.weight_grad), -1);
+        if (s.with_bias) {
+          EXPECT_EQ(FirstBitMismatch(params[1]->grad, want.bias_grad), -1);
+        }
+      }
+    }
+  }
+  SetSimdTier(entry_tier);
+  SetGlobalThreadCount(entry_threads);
 }
 
 }  // namespace
