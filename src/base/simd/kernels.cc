@@ -54,11 +54,6 @@ void MatmulRowBlock(const float* a, const float* b, float* out,
   ActiveKernels().matmul_row_block(a, b, out, row_begin, row_end, k, n);
 }
 
-void PadCopyRow(float* dst, const float* src, int64_t out_w, int64_t shift,
-                int64_t width) {
-  ActiveKernels().pad_copy_row(dst, src, out_w, shift, width);
-}
-
 void SqrtArray(const double* x, double* out, int64_t n) {
   ActiveKernels().sqrt_array(x, out, n);
 }

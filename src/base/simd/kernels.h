@@ -1,5 +1,5 @@
 // Arch-dispatched numeric microkernels: the single place where the
-// library's hot loops (matmul/im2col, clip-accumulate, Box-Muller noise,
+// library's hot loops (matmul, clip-accumulate, Box-Muller noise,
 // the spherical transforms of Eq. 24-27) touch raw arrays.
 //
 // Every kernel dispatches through the tier selected in base/simd/dispatch.h
@@ -61,11 +61,6 @@ double Dot(const float* a, const float* b, int64_t n);
 /// association is fixed by the tile structure, not the thread count.
 void MatmulRowBlock(const float* a, const float* b, float* out,
                     int64_t row_begin, int64_t row_end, int64_t k, int64_t n);
-
-/// One im2col output row: dst[ow] = src[ow + shift] for ow in [0, out_w),
-/// with reads outside [0, width) producing 0 (the padding border).
-void PadCopyRow(float* dst, const float* src, int64_t out_w, int64_t shift,
-                int64_t width);
 
 /// out[i] = sqrt(x[i]). sqrt is correctly rounded on every tier, so this
 /// kernel is bit-identical across tiers.

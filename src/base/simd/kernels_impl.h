@@ -24,7 +24,6 @@ struct KernelTable {
   double (*dot)(const float*, const float*, int64_t);
   void (*matmul_row_block)(const float*, const float*, float*, int64_t,
                            int64_t, int64_t, int64_t);
-  void (*pad_copy_row)(float*, const float*, int64_t, int64_t, int64_t);
   void (*sqrt_array)(const double*, double*, int64_t);
   void (*sincos)(const double*, double*, double*, int64_t);
   void (*atan2)(const double*, const double*, double*, int64_t);

@@ -63,14 +63,6 @@ void MatmulRowBlockScalar(const float* a, const float* b, float* out,
   }
 }
 
-void PadCopyRowScalar(float* dst, const float* src, int64_t out_w,
-                      int64_t shift, int64_t width) {
-  for (int64_t ow = 0; ow < out_w; ++ow) {
-    const int64_t iw = ow + shift;
-    dst[ow] = (iw >= 0 && iw < width) ? src[iw] : 0.0f;
-  }
-}
-
 void SqrtArrayScalar(const double* x, double* out, int64_t n) {
   for (int64_t i = 0; i < n; ++i) out[i] = std::sqrt(x[i]);
 }
@@ -118,7 +110,6 @@ const KernelTable& ScalarKernels() {
       .sum_squares = SumSquaresScalar,
       .dot = DotScalar,
       .matmul_row_block = MatmulRowBlockScalar,
-      .pad_copy_row = PadCopyRowScalar,
       .sqrt_array = SqrtArrayScalar,
       .sincos = SinCosScalar,
       .atan2 = Atan2Scalar,

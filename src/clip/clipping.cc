@@ -83,9 +83,18 @@ std::unique_ptr<Clipper> MakeClipper(const std::string& name,
 }
 
 void AccumulateClipped(const std::vector<Tensor>& per_sample_gradients,
-                       const Clipper& clipper, Tensor& sum) {
+                       const Clipper& clipper, Tensor& sum,
+                       const std::vector<double>* norms) {
   if (per_sample_gradients.empty()) return;
   const int64_t count = static_cast<int64_t>(per_sample_gradients.size());
+  GEODP_CHECK(norms == nullptr ||  // geodp: check-ok
+              static_cast<int64_t>(norms->size()) == count);
+  const auto scale = [&](int64_t i) {
+    const size_t at = static_cast<size_t>(i);
+    const double norm =
+        norms ? (*norms)[at] : per_sample_gradients[at].L2Norm();
+    return static_cast<float>(clipper.ClipScale(norm));
+  };
   const int64_t num_chunks = (count + kClipGrain - 1) / kClipGrain;
   std::vector<Tensor> partials(static_cast<size_t>(num_chunks));
   // Fused clip-accumulate: instead of materializing each clipped gradient
@@ -96,16 +105,12 @@ void AccumulateClipped(const std::vector<Tensor>& per_sample_gradients,
       0, count, kClipGrain, [&](int64_t chunk, int64_t lo, int64_t hi) {
         const Tensor& first = per_sample_gradients[static_cast<size_t>(lo)];
         Tensor partial(first.shape());
-        simd::ClipScaleAssign(
-            partial.data(), first.data(),
-            static_cast<float>(clipper.ClipScale(first.L2Norm())),
-            first.numel());
+        simd::ClipScaleAssign(partial.data(), first.data(), scale(lo),
+                              first.numel());
         for (int64_t i = lo + 1; i < hi; ++i) {
           const Tensor& g = per_sample_gradients[static_cast<size_t>(i)];
           GEODP_CHECK(SameShape(partial, g));  // geodp: check-ok
-          simd::ClipAxpy(partial.data(), g.data(),
-                         static_cast<float>(clipper.ClipScale(g.L2Norm())),
-                         g.numel());
+          simd::ClipAxpy(partial.data(), g.data(), scale(i), g.numel());
         }
         partials[static_cast<size_t>(chunk)] = std::move(partial);
       });

@@ -122,9 +122,12 @@ std::unique_ptr<Clipper> MakeClipper(const std::string& name,
 /// ParallelFor chunk accumulates into its own partial sum and the partials
 /// are reduced in chunk order, so the result is bit-identical at any
 /// thread count. Clipper::Clip must be const-thread-safe (all shipped
-/// clippers are: OnStep mutates, Clip only reads).
+/// clippers are: OnStep mutates, Clip only reads). A caller that already
+/// holds each gradient's L2Norm() passes them as `norms` (same order), and
+/// they are not computed again.
 void AccumulateClipped(const std::vector<Tensor>& per_sample_gradients,
-                       const Clipper& clipper, Tensor& sum);
+                       const Clipper& clipper, Tensor& sum,
+                       const std::vector<double>* norms = nullptr);
 
 /// Sum of the clipped per-sample gradients (parallel, thread-count
 /// invariant). An empty batch — a normal occurrence under Poisson

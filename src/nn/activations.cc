@@ -6,15 +6,19 @@
 
 namespace geodp {
 
+// The activations select instead of branching: on sign-random inputs a
+// branch per element mispredicts about half the time. NaN compares false,
+// so it maps like a negative input.
 Tensor ReLU::Forward(const Tensor& input) {
-  mask_ = Tensor(input.shape());
-  Tensor output = input;
-  for (int64_t i = 0; i < output.numel(); ++i) {
-    if (output[i] > 0.0f) {
-      mask_[i] = 1.0f;
-    } else {
-      output[i] = 0.0f;
-    }
+  if (mask_.shape() != input.shape()) mask_ = Tensor(input.shape());
+  Tensor output(input.shape());
+  const float* x = input.data();
+  float* y = output.data();
+  float* mask = mask_.data();
+  for (int64_t i = 0; i < input.numel(); ++i) {
+    const bool on = x[i] > 0.0f;
+    y[i] = on ? x[i] : 0.0f;
+    mask[i] = on ? 1.0f : 0.0f;
   }
   return output;
 }
@@ -67,15 +71,15 @@ LeakyReLU::LeakyReLU(float slope) : slope_(slope) {
 }
 
 Tensor LeakyReLU::Forward(const Tensor& input) {
-  mask_ = Tensor(input.shape());
-  Tensor output = input;
-  for (int64_t i = 0; i < output.numel(); ++i) {
-    if (output[i] > 0.0f) {
-      mask_[i] = 1.0f;
-    } else {
-      mask_[i] = slope_;
-      output[i] *= slope_;
-    }
+  if (mask_.shape() != input.shape()) mask_ = Tensor(input.shape());
+  Tensor output(input.shape());
+  const float* x = input.data();
+  float* y = output.data();
+  float* mask = mask_.data();
+  for (int64_t i = 0; i < input.numel(); ++i) {
+    const bool on = x[i] > 0.0f;
+    y[i] = on ? x[i] : x[i] * slope_;
+    mask[i] = on ? 1.0f : slope_;
   }
   return output;
 }

@@ -75,6 +75,12 @@ class Conv2d : public Layer {
   Parameter weight_;  // [OC, IC, K, K]
   Parameter bias_;    // [OC]
   Tensor cached_input_;
+  // Per-sample scratch of the im2col path, reused across samples and calls:
+  // one sample's unfold [IC*K*K, OH*OW] (forward; backward's dX columns),
+  // its transpose [OH*OW, IC*K*K] and its weight gradient [OC, IC*K*K].
+  Tensor columns_;
+  Tensor columns_t_;
+  Tensor product_;
   Tensor cached_grad_output_;  // set by GhostBackward for GhostAccumulate
   // Per-sample unfolded input, stored transposed ([B, OH*OW, IC*K*K]) so
   // both ghost passes feed sample b's gy_b [OC, OH*OW] straight into the

@@ -18,11 +18,18 @@ Tensor Im2Col(const Tensor& image, int64_t kernel_size, int64_t padding);
 
 /// Raw-pointer Im2Col into a caller-owned buffer of C*K*K * OH*OW floats.
 /// Lets batched callers unfold sample slices without staging each image
-/// in its own tensor (Conv2d's ghost-clipping pass reuses one scratch
-/// buffer across the whole batch this way).
+/// in its own tensor (Conv2d's forward reuses one scratch buffer this way).
 void Im2ColInto(const float* image, int64_t channels, int64_t height,
                 int64_t width, int64_t kernel_size, int64_t padding,
                 float* columns);
+
+/// Im2Col written transposed, [OH*OW, C*K*K]: one row of receptive-field
+/// values per output position. This is the right operand of a weight
+/// gradient dY · cols^T, so Conv2d's backward passes unfold straight into
+/// it instead of transposing an unfold.
+void Im2ColTransposedInto(const float* image, int64_t channels,
+                          int64_t height, int64_t width, int64_t kernel_size,
+                          int64_t padding, float* columns_t);
 
 /// Inverse scatter-add of Im2Col: folds columns [C*K*K, OH*OW] back into
 /// an image [C, H, W], accumulating overlapping contributions. Used for

@@ -27,18 +27,20 @@ Tensor MaxPool2d::Forward(const Tensor& input) {
     for (int64_t c = 0; c < channels; ++c) {
       for (int64_t oh = 0; oh < out_h; ++oh) {
         for (int64_t ow = 0; ow < out_w; ++ow) {
-          int64_t best_index = -1;
-          float best = 0.0f;
+          // The window's first element seeds the max and only a strictly
+          // greater one replaces it, so ties and NaN keep the earliest
+          // element. Selects, not branches: on sign-random activations
+          // which element wins is a coin flip.
+          const int64_t first =
+              ((b * channels + c) * in_h + oh * window_) * in_w + ow * window_;
+          int64_t best_index = first;
+          float best = x[first];
           for (int64_t kh = 0; kh < window_; ++kh) {
             for (int64_t kw = 0; kw < window_; ++kw) {
-              const int64_t ih = oh * window_ + kh;
-              const int64_t iw = ow * window_ + kw;
-              const int64_t xi =
-                  ((b * channels + c) * in_h + ih) * in_w + iw;
-              if (best_index < 0 || x[xi] > best) {
-                best = x[xi];
-                best_index = xi;
-              }
+              const int64_t xi = first + kh * in_w + kw;
+              const bool greater = x[xi] > best;
+              best = greater ? x[xi] : best;
+              best_index = greater ? xi : best_index;
             }
           }
           y[out_index] = best;

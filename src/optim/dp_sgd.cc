@@ -43,6 +43,8 @@ PrivateBatchGradient ComputePerSampleGradients(
 
   std::vector<Tensor> block;
   block.reserve(std::min(kPipelineBlock, indices.size()));
+  std::vector<double> block_norms;  // geodp: per-sample norms for the clip
+  block_norms.reserve(block.capacity());
   int64_t finite_samples = 0;
   size_t pos = 0;
   while (pos < indices.size()) {
@@ -69,6 +71,7 @@ PrivateBatchGradient ComputePerSampleGradients(
             std::isfinite(sample_loss) && std::isfinite(norm);
         if (finite) {
           block.push_back(std::move(grad));
+          block_norms.push_back(norm);  // geodp: per-sample
           result.mean_loss += sample_loss;
           ++finite_samples;
         } else {
@@ -80,9 +83,11 @@ PrivateBatchGradient ComputePerSampleGradients(
       }
     }
     const TraceSpan span("step.clip_accumulate");
-    AccumulateClipped(block, clipper, result.averaged_clipped);
+    AccumulateClipped(block, clipper, result.averaged_clipped,
+                      &block_norms);  // geodp: per-sample
     if (for_step_record) AccumulateSum(block, result.averaged_raw);
     block.clear();
+    block_norms.clear();  // geodp: per-sample
   }
   ZeroGradients(params);
 

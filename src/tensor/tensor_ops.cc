@@ -63,18 +63,18 @@ Tensor Matmul(const Tensor& a, const Tensor& b) {
   const int64_t m = a.dim(0), k = a.dim(1), n = b.dim(1);
   GEODP_CHECK_EQ(k, b.dim(0));
   Tensor out({m, n});
-  const float* pa = a.data();
-  const float* pb = b.data();
-  float* po = out.data();
-  // Rows are independent, so parallelizing over row blocks is exact; the
-  // kernel tiles the k dimension internally so the slice of b stays
-  // cache-resident while a row block accumulates, and keeps k in
-  // increasing order within a row, so the accumulation association is
-  // fixed by the tile structure, not the thread count.
-  ParallelFor(0, m, kMatmulRowGrain, [&](int64_t row_begin, int64_t row_end) {
-    simd::MatmulRowBlock(pa, pb, po, row_begin, row_end, k, n);
-  });
+  MatmulInto(a.data(), b.data(), out.data(), m, k, n);
   return out;
+}
+
+void MatmulInto(const float* a, const float* b, float* out, int64_t m,
+                int64_t k, int64_t n) {
+  // Rows are independent, so parallelizing over row blocks is exact; the
+  // kernel keeps k in increasing order within each output element, so the
+  // accumulation association is fixed by the kernel, not the thread count.
+  ParallelFor(0, m, kMatmulRowGrain, [&](int64_t row_begin, int64_t row_end) {
+    simd::MatmulRowBlock(a, b, out, row_begin, row_end, k, n);
+  });
 }
 
 Tensor MatVec(const Tensor& a, const Tensor& x) {

@@ -29,6 +29,12 @@ double Dot(const Tensor& a, const Tensor& b);
 /// Matrix product of a [m, k] and b [k, n] -> [m, n].
 Tensor Matmul(const Tensor& a, const Tensor& b);
 
+/// Matmul on raw row-major buffers: out [m, n] += a [m, k] · b [k, n],
+/// with out zeroed by the caller. Same bits as Matmul, for callers that
+/// reuse their own output buffer.
+void MatmulInto(const float* a, const float* b, float* out, int64_t m,
+                int64_t k, int64_t n);
+
 /// Matrix-vector product of a [m, k] and x [k] -> [m].
 Tensor MatVec(const Tensor& a, const Tensor& x);
 

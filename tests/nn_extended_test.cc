@@ -2,6 +2,7 @@
 // MLP model factory.
 
 #include <cmath>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -187,6 +188,47 @@ TEST(Im2ColTest, PaddingProducesZeros) {
   // Center tap sees the pixel, all others the zero padding.
   EXPECT_EQ(columns.at({4, 0}), 7.0f);
   EXPECT_NEAR(columns.Sum(), 7.0, 1e-6);
+}
+
+TEST(Im2ColTest, BothLayoutsMatchTheDefinitionAtEveryPadding) {
+  // Paddings from none to wider than the kernel (whole rows and columns of
+  // the unfold fall in the border), odd image sizes, one and two channels.
+  for (const int64_t kernel : {int64_t{1}, int64_t{2}, int64_t{3}}) {
+    for (const int64_t padding : {int64_t{0}, int64_t{1}, int64_t{4}}) {
+      for (const int64_t channels : {int64_t{1}, int64_t{2}}) {
+        const int64_t height = 3, width = 5;
+        Rng rng(static_cast<uint64_t>(10 * kernel + padding));
+        const Tensor image = Tensor::Randn({channels, height, width}, rng);
+        const int64_t out_h = height + 2 * padding - kernel + 1;
+        const int64_t out_w = width + 2 * padding - kernel + 1;
+        const int64_t rows = channels * kernel * kernel;
+        const int64_t spatial = out_h * out_w;
+        Tensor want({rows, spatial});
+        for (int64_t r = 0; r < rows; ++r) {
+          const int64_t c = r / (kernel * kernel);
+          const int64_t kh = (r / kernel) % kernel, kw = r % kernel;
+          for (int64_t s = 0; s < spatial; ++s) {
+            const int64_t ih = s / out_w + kh - padding;
+            const int64_t iw = s % out_w + kw - padding;
+            const bool inside = ih >= 0 && ih < height && iw >= 0 && iw < width;
+            want[r * spatial + s] = inside ? image.at({c, ih, iw}) : 0.0f;
+          }
+        }
+        SCOPED_TRACE("kernel " + std::to_string(kernel) + " padding " +
+                     std::to_string(padding) + " channels " +
+                     std::to_string(channels));
+        // Poisoned buffers: every element must be written.
+        Tensor columns = Tensor::Full({rows, spatial}, -7.0f);
+        Im2ColInto(image.data(), channels, height, width, kernel, padding,
+                   columns.data());
+        EXPECT_EQ(MaxAbsDiff(columns, want), 0.0);
+        Tensor columns_t = Tensor::Full({spatial, rows}, -7.0f);
+        Im2ColTransposedInto(image.data(), channels, height, width, kernel,
+                             padding, columns_t.data());
+        EXPECT_EQ(MaxAbsDiff(columns_t, Transpose(want)), 0.0);
+      }
+    }
+  }
 }
 
 TEST(Im2ColTest, Col2ImAccumulatesOverlaps) {
