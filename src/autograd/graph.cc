@@ -238,47 +238,6 @@ Var Relu(Graph& g, Var a) {
   return g.Emplace(std::move(out), std::move(backward), needs);
 }
 
-Var TanhOp(Graph& g, Var a) {
-  Tensor out = g.value(a);
-  for (int64_t i = 0; i < out.numel(); ++i) out[i] = std::tanh(out[i]);
-  const bool needs = g.needs_grad(a);
-  const Var result = NextVar(g);
-  Graph::BackwardFn backward;
-  if (needs) {
-    backward = [a, result](Graph& graph) {
-      const Tensor& gy = graph.grad(result);
-      const Tensor& y = graph.value(result);
-      Tensor& gx = graph.mutable_grad(a);
-      for (int64_t i = 0; i < gy.numel(); ++i) {
-        gx[i] += gy[i] * (1.0f - y[i] * y[i]);
-      }
-    };
-  }
-  return g.Emplace(std::move(out), std::move(backward), needs);
-}
-
-Var SigmoidOp(Graph& g, Var a) {
-  Tensor out = g.value(a);
-  for (int64_t i = 0; i < out.numel(); ++i) {
-    out[i] = static_cast<float>(
-        1.0 / (1.0 + std::exp(-static_cast<double>(out[i]))));
-  }
-  const bool needs = g.needs_grad(a);
-  const Var result = NextVar(g);
-  Graph::BackwardFn backward;
-  if (needs) {
-    backward = [a, result](Graph& graph) {
-      const Tensor& gy = graph.grad(result);
-      const Tensor& y = graph.value(result);
-      Tensor& gx = graph.mutable_grad(a);
-      for (int64_t i = 0; i < gy.numel(); ++i) {
-        gx[i] += gy[i] * y[i] * (1.0f - y[i]);
-      }
-    };
-  }
-  return g.Emplace(std::move(out), std::move(backward), needs);
-}
-
 Var Sum(Graph& g, Var a) {
   Tensor out = Tensor::Vector({static_cast<float>(g.value(a).Sum())});
   const bool needs = g.needs_grad(a);

@@ -105,12 +105,6 @@ Var AddRowBias(Graph& g, Var matrix, Var bias);
 /// Elementwise max(x, 0).
 Var Relu(Graph& g, Var a);
 
-/// Elementwise tanh.
-Var TanhOp(Graph& g, Var a);
-
-/// Elementwise logistic sigmoid.
-Var SigmoidOp(Graph& g, Var a);
-
 /// Sum of all elements -> scalar [1].
 Var Sum(Graph& g, Var a);
 

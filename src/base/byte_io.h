@@ -1,7 +1,7 @@
 // Bounds-checked little-endian byte encoding: the one substrate under every
 // binary format in the repo (GDPT tensors, GDPC model checkpoints, GDPK
-// training checkpoints, IDX datasets). Each format keeps its own layout in
-// its own file; only the primitives live here.
+// training checkpoints). Each format keeps its own layout in its own file;
+// only the primitives live here.
 //
 // ByteWriter appends fixed-width primitives to an in-memory buffer;
 // ByteReader decodes them with explicit bounds checks, so a truncated or

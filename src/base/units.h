@@ -36,10 +36,6 @@ using ClipThreshold = internal::UnitDouble<struct ClipThresholdTag>;
 /// Noise multiplier sigma: noise stddev per unit of sensitivity.
 using NoiseMultiplier = internal::UnitDouble<struct NoiseMultiplierTag>;
 
-/// L2 sensitivity of a released quantity (for one DP-SGD batch sum this
-/// equals the clip threshold, but the two play different roles).
-using Sensitivity = internal::UnitDouble<struct SensitivityTag>;
-
 /// Privacy budget epsilon of an (epsilon, delta)-DP guarantee. Used where
 /// epsilon is an *input* (a target budget, a recorded Laplace spend);
 /// computed epsilons stay plain doubles.

@@ -1,7 +1,6 @@
 #include "dp/analytic_gaussian.h"
 
 #include <cmath>
-#include <sstream>
 
 #include "base/check.h"
 
@@ -19,48 +18,6 @@ double AnalyticGaussianDelta(double sigma, double epsilon) {
   const double a = 1.0 / (2.0 * sigma);
   return StandardNormalCdf(a - epsilon * sigma) -
          std::exp(epsilon) * StandardNormalCdf(-a - epsilon * sigma);
-}
-
-StatusOr<double> AnalyticGaussianSigma(double epsilon, double delta,
-                                       double tolerance) {
-  if (!(epsilon > 0.0)) {
-    std::ostringstream message;
-    message << "epsilon must be > 0, got " << epsilon;
-    return Status::InvalidArgument(message.str());
-  }
-  if (!(delta > 0.0 && delta < 1.0)) {
-    std::ostringstream message;
-    message << "delta must be in (0, 1), got " << delta;
-    return Status::InvalidArgument(message.str());
-  }
-  if (!(tolerance > 0.0)) {
-    std::ostringstream message;
-    message << "tolerance must be > 0, got " << tolerance;
-    return Status::InvalidArgument(message.str());
-  }
-  // AnalyticGaussianDelta is decreasing in sigma; bracket then bisect.
-  double lo = 1e-6;
-  double hi = 1.0;
-  while (AnalyticGaussianDelta(hi, epsilon) > delta) {
-    hi *= 2.0;
-    if (hi >= 1e12) {
-      std::ostringstream message;
-      message << "failed to bracket sigma for epsilon=" << epsilon
-              << " delta=" << delta;
-      return Status::OutOfRange(message.str());
-    }
-  }
-  while (hi - lo > 1e-12 * hi) {
-    const double mid = 0.5 * (lo + hi);
-    const double d = AnalyticGaussianDelta(mid, epsilon);
-    if (std::fabs(d - delta) <= tolerance) return mid;
-    if (d > delta) {
-      lo = mid;
-    } else {
-      hi = mid;
-    }
-  }
-  return hi;
 }
 
 }  // namespace geodp

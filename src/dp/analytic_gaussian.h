@@ -1,13 +1,11 @@
 // Analytic Gaussian mechanism (Balle & Wang, ICML 2018): the *exact*
-// calibration of Gaussian noise to (epsilon, delta)-DP, valid for every
-// epsilon > 0 (the classic sqrt(2 ln(1.25/delta))/epsilon bound requires
-// epsilon <= 1 and is loose). Used by the calibration utilities to squeeze
-// more utility out of the same budget.
+// delta of Gaussian noise at a given epsilon, valid for every epsilon > 0
+// (the classic sqrt(2 ln(1.25/delta))/epsilon bound requires epsilon <= 1
+// and is loose). The CLI's privacy report prints it next to the classic
+// calibration.
 
 #ifndef GEODP_DP_ANALYTIC_GAUSSIAN_H_
 #define GEODP_DP_ANALYTIC_GAUSSIAN_H_
-
-#include "base/status.h"
 
 namespace geodp {
 
@@ -19,14 +17,6 @@ double StandardNormalCdf(double x);
 ///   delta = Phi(1/(2 sigma) - eps*sigma) - e^eps * Phi(-1/(2 sigma) - eps*sigma).
 /// Precondition (checked): sigma > 0 and epsilon > 0.
 double AnalyticGaussianDelta(double sigma, double epsilon);
-
-/// Smallest noise multiplier sigma such that the Gaussian mechanism is
-/// (epsilon, delta)-DP, found by bisection on AnalyticGaussianDelta
-/// (monotone decreasing in sigma). Exact up to `tolerance` on delta.
-/// Returns InvalidArgument on bad inputs and OutOfRange if no sigma below
-/// the bracket ceiling satisfies the budget.
-StatusOr<double> AnalyticGaussianSigma(double epsilon, double delta,
-                                       double tolerance = 1e-12);
 
 }  // namespace geodp
 

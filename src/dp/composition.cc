@@ -25,12 +25,4 @@ PrivacyGuarantee AdvancedComposition(const PrivacyGuarantee& per_step,
   return {eps_total, k * per_step.delta + delta_slack};
 }
 
-PrivacyGuarantee BestComposition(const PrivacyGuarantee& per_step,
-                                 int64_t steps, double delta_slack) {
-  const PrivacyGuarantee basic = BasicComposition(per_step, steps);
-  const PrivacyGuarantee advanced =
-      AdvancedComposition(per_step, steps, delta_slack);
-  return advanced.epsilon < basic.epsilon ? advanced : basic;
-}
-
 }  // namespace geodp

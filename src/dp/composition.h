@@ -26,11 +26,6 @@ PrivacyGuarantee BasicComposition(const PrivacyGuarantee& per_step,
 PrivacyGuarantee AdvancedComposition(const PrivacyGuarantee& per_step,
                                      int64_t steps, double delta_slack);
 
-/// The tighter of basic and advanced composition at the same total delta
-/// budget (advanced pays delta_slack extra).
-PrivacyGuarantee BestComposition(const PrivacyGuarantee& per_step,
-                                 int64_t steps, double delta_slack);
-
 }  // namespace geodp
 
 #endif  // GEODP_DP_COMPOSITION_H_

@@ -18,27 +18,4 @@ double GaussianEpsilonForSigma(double sigma, double delta) {
   return std::sqrt(2.0 * std::log(1.25 / delta)) / sigma;
 }
 
-GaussianMechanism::GaussianMechanism(GaussianMechanismOptions options)
-    : options_(options) {
-  GEODP_CHECK_GE(options_.l2_sensitivity.value(), 0.0);  // geodp: check-ok
-  GEODP_CHECK_GE(options_.noise_multiplier.value(), 0.0);  // geodp: check-ok
-}
-
-double GaussianMechanism::NoiseStddev() const {
-  return options_.l2_sensitivity.value() * options_.noise_multiplier.value();
-}
-
-double GaussianMechanism::Perturb(double value, Rng& rng) const {
-  return value + rng.Gaussian(0.0, NoiseStddev());
-}
-
-Tensor GaussianMechanism::Perturb(const Tensor& value, Rng& rng) const {
-  Tensor out = value;
-  const double stddev = NoiseStddev();
-  for (int64_t i = 0; i < out.numel(); ++i) {
-    out[i] += static_cast<float>(rng.Gaussian(0.0, stddev));
-  }
-  return out;
-}
-
 }  // namespace geodp

@@ -1,12 +1,8 @@
-// Classic Gaussian mechanism (Dwork & Roth, Appendix A) and its
-// (epsilon, delta) <-> sigma calibration, used by both DP-SGD and GeoDP.
+// The classic Gaussian mechanism's (epsilon, delta) <-> sigma calibration
+// (Dwork & Roth, Appendix A), used by the paper's sigma <-> epsilon table.
 
 #ifndef GEODP_DP_GAUSSIAN_MECHANISM_H_
 #define GEODP_DP_GAUSSIAN_MECHANISM_H_
-
-#include "base/rng.h"
-#include "base/units.h"
-#include "tensor/tensor.h"
 
 namespace geodp {
 
@@ -19,34 +15,6 @@ double GaussianSigmaForEpsilonDelta(double epsilon, double delta);
 /// Inverse of the calibration above: the epsilon obtained from a given
 /// noise multiplier at a given delta.
 double GaussianEpsilonForSigma(double sigma, double delta);
-
-/// Parameters of a single Gaussian-mechanism release. Both fields are
-/// strongly typed: swapping sensitivity for sigma is a silent privacy bug
-/// a bare pair of doubles cannot catch.
-struct GaussianMechanismOptions {
-  Sensitivity l2_sensitivity{1.0};
-  NoiseMultiplier noise_multiplier{1.0};  // sigma
-};
-
-/// Adds i.i.d. N(0, (sigma * sensitivity)^2) noise to scalars or vectors.
-class GaussianMechanism {
- public:
-  explicit GaussianMechanism(GaussianMechanismOptions options);
-
-  /// Noise standard deviation sigma * sensitivity.
-  double NoiseStddev() const;
-
-  /// value + N(0, NoiseStddev()^2).
-  double Perturb(double value, Rng& rng) const;
-
-  /// Elementwise perturbation of a tensor.
-  Tensor Perturb(const Tensor& value, Rng& rng) const;
-
-  const GaussianMechanismOptions& options() const { return options_; }
-
- private:
-  GaussianMechanismOptions options_;
-};
 
 }  // namespace geodp
 

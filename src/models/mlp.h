@@ -1,5 +1,4 @@
-// Multi-layer perceptron factory: a configurable stack of Linear + ReLU
-// (optionally GroupNorm-free dense baseline for quick experiments).
+// Multi-layer perceptron factory: a configurable stack of Linear + ReLU.
 
 #ifndef GEODP_MODELS_MLP_H_
 #define GEODP_MODELS_MLP_H_

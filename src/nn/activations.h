@@ -1,4 +1,4 @@
-// Elementwise activation layers.
+// The elementwise activation layer every model uses: ReLU.
 
 #ifndef GEODP_NN_ACTIVATIONS_H_
 #define GEODP_NN_ACTIVATIONS_H_
@@ -20,46 +20,6 @@ class ReLU : public Layer {
 
  private:
   Tensor mask_;  // 1 where input > 0
-};
-
-/// Hyperbolic tangent, any input shape.
-class Tanh : public Layer {
- public:
-  Tanh() = default;
-
-  Tensor Forward(const Tensor& input) override;
-  Tensor Backward(const Tensor& grad_output) override;
-  std::string name() const override { return "Tanh"; }
-
- private:
-  Tensor output_;  // cached tanh(x)
-};
-
-/// Logistic sigmoid, any input shape.
-class Sigmoid : public Layer {
- public:
-  Sigmoid() = default;
-
-  Tensor Forward(const Tensor& input) override;
-  Tensor Backward(const Tensor& grad_output) override;
-  std::string name() const override { return "Sigmoid"; }
-
- private:
-  Tensor output_;  // cached sigmoid(x)
-};
-
-/// Leaky rectifier: x for x > 0, slope * x otherwise.
-class LeakyReLU : public Layer {
- public:
-  explicit LeakyReLU(float slope = 0.01f);
-
-  Tensor Forward(const Tensor& input) override;
-  Tensor Backward(const Tensor& grad_output) override;
-  std::string name() const override { return "LeakyReLU"; }
-
- private:
-  float slope_;
-  Tensor mask_;  // 1 where input > 0, slope elsewhere
 };
 
 }  // namespace geodp

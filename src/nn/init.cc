@@ -13,12 +13,4 @@ Tensor KaimingUniform(std::vector<int64_t> shape, int64_t fan_in, Rng& rng) {
   return Tensor::RandUniform(std::move(shape), rng, -bound, bound);
 }
 
-Tensor XavierUniform(std::vector<int64_t> shape, int64_t fan_in,
-                     int64_t fan_out, Rng& rng) {
-  GEODP_CHECK_GT(fan_in + fan_out, 0);
-  const float bound = static_cast<float>(
-      std::sqrt(6.0 / static_cast<double>(fan_in + fan_out)));
-  return Tensor::RandUniform(std::move(shape), rng, -bound, bound);
-}
-
 }  // namespace geodp

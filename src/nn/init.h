@@ -14,10 +14,6 @@ namespace geodp {
 /// bound = sqrt(6 / fan_in). Suitable for layers followed by ReLU.
 Tensor KaimingUniform(std::vector<int64_t> shape, int64_t fan_in, Rng& rng);
 
-/// Xavier/Glorot uniform init: bound = sqrt(6 / (fan_in + fan_out)).
-Tensor XavierUniform(std::vector<int64_t> shape, int64_t fan_in,
-                     int64_t fan_out, Rng& rng);
-
 }  // namespace geodp
 
 #endif  // GEODP_NN_INIT_H_

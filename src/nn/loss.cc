@@ -70,26 +70,4 @@ Tensor SoftmaxCrossEntropy::BackwardSum() const {
   return grad;
 }
 
-double MeanSquaredError::Forward(const Tensor& predictions,
-                                 const Tensor& targets) {
-  GEODP_CHECK(SameShape(predictions, targets));
-  predictions_ = predictions;
-  targets_ = targets;
-  double sum = 0.0;
-  for (int64_t i = 0; i < predictions.numel(); ++i) {
-    const double diff =
-        static_cast<double>(predictions[i]) - static_cast<double>(targets[i]);
-    sum += diff * diff;
-  }
-  return sum / static_cast<double>(predictions.numel());
-}
-
-Tensor MeanSquaredError::Backward() const {
-  GEODP_CHECK(!predictions_.empty()) << "Backward before Forward";
-  Tensor grad = predictions_;
-  grad.SubInPlace(targets_);
-  grad.ScaleInPlace(2.0f / static_cast<float>(grad.numel()));
-  return grad;
-}
-
 }  // namespace geodp

@@ -41,22 +41,6 @@ class SoftmaxCrossEntropy {
   std::vector<double> sample_losses_;
 };
 
-/// Mean squared error between predictions and targets of equal shape.
-class MeanSquaredError {
- public:
-  MeanSquaredError() = default;
-
-  /// (1/N) * sum (pred - target)^2 over all elements.
-  double Forward(const Tensor& predictions, const Tensor& targets);
-
-  /// dL/dpred = 2 (pred - target) / N.
-  Tensor Backward() const;
-
- private:
-  Tensor predictions_;
-  Tensor targets_;
-};
-
 }  // namespace geodp
 
 #endif  // GEODP_NN_LOSS_H_

@@ -62,77 +62,6 @@ Tensor MaxPool2d::Backward(const Tensor& grad_output) {
   return grad_input;
 }
 
-AvgPool2d::AvgPool2d(int64_t window) : window_(window) {
-  GEODP_CHECK_GT(window_, 0);
-}
-
-Tensor AvgPool2d::Forward(const Tensor& input) {
-  GEODP_CHECK_EQ(input.ndim(), 4);
-  const int64_t batch = input.dim(0), channels = input.dim(1);
-  const int64_t in_h = input.dim(2), in_w = input.dim(3);
-  GEODP_CHECK_EQ(in_h % window_, 0);
-  GEODP_CHECK_EQ(in_w % window_, 0);
-  const int64_t out_h = in_h / window_, out_w = in_w / window_;
-  input_shape_ = input.shape();
-
-  Tensor output({batch, channels, out_h, out_w});
-  const float* x = input.data();
-  float* y = output.data();
-  const double inv = 1.0 / static_cast<double>(window_ * window_);
-  int64_t out_index = 0;
-  for (int64_t b = 0; b < batch; ++b) {
-    for (int64_t c = 0; c < channels; ++c) {
-      for (int64_t oh = 0; oh < out_h; ++oh) {
-        for (int64_t ow = 0; ow < out_w; ++ow) {
-          double sum = 0.0;
-          for (int64_t kh = 0; kh < window_; ++kh) {
-            for (int64_t kw = 0; kw < window_; ++kw) {
-              const int64_t ih = oh * window_ + kh;
-              const int64_t iw = ow * window_ + kw;
-              sum += static_cast<double>(
-                  x[((b * channels + c) * in_h + ih) * in_w + iw]);
-            }
-          }
-          y[out_index++] = static_cast<float>(sum * inv);
-        }
-      }
-    }
-  }
-  return output;
-}
-
-Tensor AvgPool2d::Backward(const Tensor& grad_output) {
-  GEODP_CHECK_EQ(grad_output.ndim(), 4);
-  const int64_t batch = input_shape_[0], channels = input_shape_[1];
-  const int64_t in_h = input_shape_[2], in_w = input_shape_[3];
-  const int64_t out_h = in_h / window_, out_w = in_w / window_;
-  GEODP_CHECK_EQ(grad_output.dim(2), out_h);
-  GEODP_CHECK_EQ(grad_output.dim(3), out_w);
-
-  Tensor grad_input(input_shape_);
-  const float* gy = grad_output.data();
-  float* gx = grad_input.data();
-  const float inv = 1.0f / static_cast<float>(window_ * window_);
-  int64_t out_index = 0;
-  for (int64_t b = 0; b < batch; ++b) {
-    for (int64_t c = 0; c < channels; ++c) {
-      for (int64_t oh = 0; oh < out_h; ++oh) {
-        for (int64_t ow = 0; ow < out_w; ++ow) {
-          const float g = gy[out_index++] * inv;
-          for (int64_t kh = 0; kh < window_; ++kh) {
-            for (int64_t kw = 0; kw < window_; ++kw) {
-              const int64_t ih = oh * window_ + kh;
-              const int64_t iw = ow * window_ + kw;
-              gx[((b * channels + c) * in_h + ih) * in_w + iw] += g;
-            }
-          }
-        }
-      }
-    }
-  }
-  return grad_input;
-}
-
 Tensor GlobalAvgPool::Forward(const Tensor& input) {
   GEODP_CHECK_EQ(input.ndim(), 4);
   const int64_t batch = input.dim(0), channels = input.dim(1);

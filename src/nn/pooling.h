@@ -26,21 +26,6 @@ class MaxPool2d : public Layer {
   std::vector<int64_t> input_shape_;  // for grad_input reconstruction
 };
 
-/// Non-overlapping average pooling with square windows; input extents
-/// must be divisible by the window size. [B, C, H, W] -> [B, C, H/k, W/k].
-class AvgPool2d : public Layer {
- public:
-  explicit AvgPool2d(int64_t window);
-
-  Tensor Forward(const Tensor& input) override;
-  Tensor Backward(const Tensor& grad_output) override;
-  std::string name() const override { return "AvgPool2d"; }
-
- private:
-  int64_t window_;
-  std::vector<int64_t> input_shape_;
-};
-
 /// Global average pooling: [B, C, H, W] -> [B, C].
 class GlobalAvgPool : public Layer {
  public:

@@ -1,7 +1,6 @@
 #include "optim/geodp_sgd.h"
 
 #include "base/check.h"
-#include "base/thread_pool.h"
 
 namespace geodp {
 
@@ -47,23 +46,6 @@ std::unique_ptr<Perturber> MakePerturberForMethod(
     }
   }
   return nullptr;
-}
-
-std::vector<Tensor> BatchPerturb(const Perturber& perturber,
-                                 const std::vector<Tensor>& gradients,
-                                 Rng& rng) {
-  std::vector<Tensor> noisy(gradients.size());
-  const uint64_t root = rng.Next();
-  ParallelFor(0, static_cast<int64_t>(gradients.size()), /*grain=*/1,
-              [&](int64_t lo, int64_t hi) {
-                for (int64_t i = lo; i < hi; ++i) {
-                  Rng stream =
-                      Rng::Substream(root, static_cast<uint64_t>(i));
-                  noisy[static_cast<size_t>(i)] = perturber.Perturb(
-                      gradients[static_cast<size_t>(i)], stream);
-                }
-              });
-  return noisy;
 }
 
 }  // namespace geodp

@@ -5,7 +5,6 @@
 
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "core/perturbation.h"
 
@@ -39,15 +38,6 @@ class IdentityPerturber : public Perturber {
 std::unique_ptr<Perturber> MakePerturberForMethod(
     PerturbationMethod method, const PerturbationOptions& base, double beta,
     AngleHandling angle_handling = AngleHandling::kNone);
-
-/// Perturbs a batch of averaged clipped gradients (one release each) in
-/// parallel on the global pool. One root value is drawn from `rng` and
-/// release i uses the i-th substream of that root, so the output is
-/// reproducible from the parent seed and invariant to the thread count.
-/// Used by the Monte-Carlo benches and the federated aggregation path.
-std::vector<Tensor> BatchPerturb(const Perturber& perturber,
-                                 const std::vector<Tensor>& gradients,
-                                 Rng& rng);
 
 }  // namespace geodp
 

@@ -13,7 +13,6 @@ namespace {
 // entirely within one chunk, so results are bit-identical to the serial
 // loop at any thread count.
 constexpr int64_t kMatmulRowGrain = 8;
-constexpr int64_t kMatVecRowGrain = 64;
 
 // Samples per chunk when summing a batch of tensors; partial sums are
 // reduced in chunk order, fixing the floating-point association
@@ -75,21 +74,6 @@ void MatmulInto(const float* a, const float* b, float* out, int64_t m,
   ParallelFor(0, m, kMatmulRowGrain, [&](int64_t row_begin, int64_t row_end) {
     simd::MatmulRowBlock(a, b, out, row_begin, row_end, k, n);
   });
-}
-
-Tensor MatVec(const Tensor& a, const Tensor& x) {
-  GEODP_CHECK_EQ(a.ndim(), 2);
-  GEODP_CHECK_EQ(x.ndim(), 1);
-  const int64_t m = a.dim(0), k = a.dim(1);
-  GEODP_CHECK_EQ(k, x.dim(0));
-  Tensor out({m});
-  ParallelFor(0, m, kMatVecRowGrain, [&](int64_t row_begin, int64_t row_end) {
-    for (int64_t i = row_begin; i < row_end; ++i) {
-      out[i] =
-          static_cast<float>(simd::Dot(a.data() + i * k, x.data(), k));
-    }
-  });
-  return out;
 }
 
 Tensor Transpose(const Tensor& a) {
@@ -156,19 +140,6 @@ bool AllClose(const Tensor& a, const Tensor& b, double rtol, double atol) {
   return true;
 }
 
-Tensor Concat1D(const std::vector<Tensor>& parts) {
-  int64_t total = 0;
-  for (const Tensor& p : parts) total += p.numel();
-  Tensor out({std::max<int64_t>(total, 1)});
-  if (total == 0) return Tensor::Vector({});
-  int64_t offset = 0;
-  for (const Tensor& p : parts) {
-    for (int64_t i = 0; i < p.numel(); ++i) out[offset + i] = p[i];
-    offset += p.numel();
-  }
-  return out;
-}
-
 void AccumulateSum(const std::vector<Tensor>& tensors, Tensor& sum) {
   if (tensors.empty()) return;
   const int64_t count = static_cast<int64_t>(tensors.size());
@@ -186,13 +157,6 @@ void AccumulateSum(const std::vector<Tensor>& tensors, Tensor& sum) {
                           std::move(partial);
                     });
   for (const Tensor& partial : partials) sum.AddInPlace(partial);
-}
-
-Tensor SumTensors(const std::vector<Tensor>& tensors) {
-  GEODP_CHECK(!tensors.empty());
-  Tensor sum(tensors.front().shape());
-  AccumulateSum(tensors, sum);
-  return sum;
 }
 
 double CosineSimilarity(const Tensor& a, const Tensor& b) {

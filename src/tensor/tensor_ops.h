@@ -35,9 +35,6 @@ Tensor Matmul(const Tensor& a, const Tensor& b);
 void MatmulInto(const float* a, const float* b, float* out, int64_t m,
                 int64_t k, int64_t n);
 
-/// Matrix-vector product of a [m, k] and x [k] -> [m].
-Tensor MatVec(const Tensor& a, const Tensor& x);
-
 /// Transpose of a 2-D tensor.
 Tensor Transpose(const Tensor& a);
 
@@ -55,17 +52,10 @@ double MaxAbsDiff(const Tensor& a, const Tensor& b);
 bool AllClose(const Tensor& a, const Tensor& b, double rtol = 1e-5,
               double atol = 1e-6);
 
-/// Concatenates 1-D tensors into one 1-D tensor.
-Tensor Concat1D(const std::vector<Tensor>& parts);
-
 /// Adds every tensor into `sum` (shapes must match). Runs in parallel on
 /// the global pool with a fixed chunk structure, so the result is
 /// bit-identical at any thread count.
 void AccumulateSum(const std::vector<Tensor>& tensors, Tensor& sum);
-
-/// Sum of a non-empty batch of same-shaped tensors (parallel,
-/// thread-count invariant).
-Tensor SumTensors(const std::vector<Tensor>& tensors);
 
 /// Cosine similarity of flattened tensors; returns 0 if either is zero.
 double CosineSimilarity(const Tensor& a, const Tensor& b);

@@ -1,7 +1,7 @@
 // Tests for base/byte_view.h — the audited home of type punning (lint
 // rule R6) — plus byte-exact golden tests proving the codecs (GDPT
-// tensors, GDPC model checkpoints, GDPK training checkpoints, IDX exports)
-// still emit exactly the wire bytes they always have. The golden streams
+// tensors, GDPC model checkpoints, GDPK training checkpoints) still emit
+// exactly the wire bytes they always have. The golden streams
 // are assembled with std::memcpy and a hand-rolled CRC only, so they do
 // not depend on the code under test.
 
@@ -18,7 +18,6 @@
 #include "base/byte_view.h"
 #include "base/rng.h"
 #include "ckpt/checkpoint.h"
-#include "data/mnist_idx.h"
 #include "nn/checkpoint.h"
 #include "nn/linear.h"
 #include "nn/parameter.h"
@@ -47,13 +46,6 @@ void AppendPod(std::string& out, const T& value) {
   std::array<char, sizeof(T)> buffer;
   std::memcpy(buffer.data(), &value, sizeof(T));
   out.append(buffer.data(), buffer.size());
-}
-
-void AppendBigEndian32(std::string& out, uint32_t value) {
-  out.push_back(static_cast<char>((value >> 24) & 0xFF));
-  out.push_back(static_cast<char>((value >> 16) & 0xFF));
-  out.push_back(static_cast<char>((value >> 8) & 0xFF));
-  out.push_back(static_cast<char>(value & 0xFF));
 }
 
 // Independent bitwise CRC-32 (reflected 0xEDB88320) — deliberately not
@@ -183,35 +175,6 @@ TEST(GoldenBytesTest, TrainingCheckpointEnvelopeIsUnchanged) {
   // when this golden was introduced.
   EXPECT_EQ(payload.size(), 644u);
   EXPECT_EQ(TestCrc32(payload), 0xFEEE0068u);
-}
-
-TEST(GoldenBytesTest, IdxExportFormatIsUnchanged) {
-  InMemoryDataset dataset;
-  dataset.Add(Tensor::FromVector({1, 2, 2}, {0.0f, 0.5f, 1.0f, 0.25f}), 3);
-  dataset.Add(Tensor::FromVector({1, 2, 2}, {1.0f, 0.0f, 0.75f, 0.5f}), 1);
-  const std::string images_path = TempPath("byte_view_golden_images.idx");
-  const std::string labels_path = TempPath("byte_view_golden_labels.idx");
-  ASSERT_TRUE(SaveMnistIdx(dataset, images_path, labels_path).ok());
-
-  std::string images;
-  AppendBigEndian32(images, 2051);  // IDX3 magic
-  AppendBigEndian32(images, 2);     // examples
-  AppendBigEndian32(images, 2);     // rows
-  AppendBigEndian32(images, 2);     // cols
-  // Pixels quantized as round(clamp(v, 0, 1) * 255).
-  const std::array<unsigned char, 8> pixels = {0, 128, 255, 64,
-                                               255, 0, 191, 128};
-  for (const unsigned char pixel : pixels) {
-    images.push_back(static_cast<char>(pixel));
-  }
-  std::string labels;
-  AppendBigEndian32(labels, 2049);  // IDX1 magic
-  AppendBigEndian32(labels, 2);
-  labels.push_back(3);
-  labels.push_back(1);
-
-  EXPECT_EQ(ReadWholeFile(images_path), images);
-  EXPECT_EQ(ReadWholeFile(labels_path), labels);
 }
 
 }  // namespace

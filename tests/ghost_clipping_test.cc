@@ -23,10 +23,10 @@
 #include "models/cnn.h"
 #include "models/logistic_regression.h"
 #include "models/mlp.h"
+#include "models/resnet.h"
 #include "nn/activations.h"
 #include "nn/conv2d.h"
 #include "nn/flatten.h"
-#include "nn/group_norm.h"
 #include "nn/linear.h"
 #include "nn/loss.h"
 #include "nn/parameter.h"
@@ -274,11 +274,10 @@ TEST(GhostGradTest, SupportDetection) {
   auto logreg = MakeLogisticRegression(64, 10, rng);
   EXPECT_TRUE(GhostClipSupported(*logreg));
 
-  // GroupNorm has parameters but no ghost hooks, so any model containing
-  // it must be reported unsupported.
-  Sequential with_norm;
-  with_norm.Emplace<GroupNorm>(4, 2);
-  EXPECT_FALSE(GhostClipSupported(with_norm));
+  // ResidualBlock has parameters but no ghost hooks, so ResNet must be
+  // reported unsupported.
+  auto resnet = MakeResNet(ResNetConfig{}, rng);
+  EXPECT_FALSE(GhostClipSupported(*resnet));
 }
 
 TEST(GhostGradTest, ClipBoundHolds) {
@@ -719,9 +718,12 @@ TEST(TrainerGhostTest, NonFiniteSamplesAreSkippedNotPropagated) {
 TEST(TrainerGhostTest, UnsupportedModelRejected) {
   const InMemoryDataset train = MakeTrainSet(32, 1);
   Rng rng(3);
-  auto model = std::make_unique<Sequential>();
-  model->Emplace<GroupNorm>(1, 1);
-  model->Emplace<Linear>(64, 10, rng);
+  ResNetConfig config;
+  config.in_channels = 1;
+  config.image_size = 8;
+  config.width = 4;
+  config.num_blocks = 1;
+  auto model = MakeResNet(config, rng);
   TrainerOptions options;
   options.clip_mode = "ghost";
   options.batch_size = 16;

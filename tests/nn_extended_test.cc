@@ -1,16 +1,13 @@
-// Tests for the extended NN layers: GroupNorm, Sigmoid, LeakyReLU, and the
-// MLP model factory.
+// Tests for the MLP model factory, the im2col unfold and the equivalence of
+// Conv2d's direct and im2col implementations.
 
-#include <cmath>
 #include <string>
 
 #include <gtest/gtest.h>
 
 #include "base/rng.h"
 #include "models/mlp.h"
-#include "nn/activations.h"
 #include "nn/conv2d.h"
-#include "nn/group_norm.h"
 #include "nn/im2col.h"
 #include "nn/parameter.h"
 #include "tensor/tensor_ops.h"
@@ -20,110 +17,6 @@ namespace geodp {
 namespace {
 
 using testing_util::CheckGradients;
-
-TEST(GroupNormTest, NormalizesWithinGroups) {
-  GroupNorm norm(4, 2);  // 2 groups of 2 channels
-  Rng rng(1);
-  const Tensor x = Tensor::Randn({2, 4, 3, 3}, rng, 5.0f);
-  const Tensor y = norm.Forward(x);
-  // With gamma=1, beta=0 each (sample, group) slab has mean ~0, var ~1.
-  const int64_t spatial = 9;
-  for (int64_t b = 0; b < 2; ++b) {
-    for (int64_t g = 0; g < 2; ++g) {
-      double mean = 0.0, var = 0.0;
-      for (int64_t c = g * 2; c < g * 2 + 2; ++c) {
-        for (int64_t i = 0; i < spatial; ++i) {
-          mean += static_cast<double>(y[((b * 4 + c) * spatial) + i]);
-        }
-      }
-      mean /= 18.0;
-      for (int64_t c = g * 2; c < g * 2 + 2; ++c) {
-        for (int64_t i = 0; i < spatial; ++i) {
-          const double d =
-              static_cast<double>(y[((b * 4 + c) * spatial) + i]) - mean;
-          var += d * d;
-        }
-      }
-      var /= 18.0;
-      EXPECT_NEAR(mean, 0.0, 1e-4);
-      EXPECT_NEAR(var, 1.0, 1e-2);
-    }
-  }
-}
-
-TEST(GroupNormTest, AffineParametersApply) {
-  GroupNorm norm(2, 1);
-  norm.Parameters()[0]->value = Tensor::Vector({2.0f, 3.0f});  // gamma
-  norm.Parameters()[1]->value = Tensor::Vector({1.0f, -1.0f});  // beta
-  Rng rng(2);
-  const Tensor x = Tensor::Randn({1, 2, 2, 2}, rng);
-  const Tensor y = norm.Forward(x);
-  // Channel 0 values should center at beta=1, channel 1 at beta=-1.
-  double mean0 = 0.0, mean1 = 0.0;
-  for (int64_t i = 0; i < 4; ++i) {
-    mean0 += static_cast<double>(y[i]);
-    mean1 += static_cast<double>(y[4 + i]);
-  }
-  EXPECT_NEAR(mean0 / 4.0 + mean1 / 4.0, 0.0, 1.0);  // loose sanity
-}
-
-TEST(GroupNormTest, GradientCheck) {
-  Rng rng(3);
-  GroupNorm norm(4, 2);
-  // Randomize affine parameters so their gradients are exercised.
-  norm.Parameters()[0]->value = Tensor::RandUniform({4}, rng, 0.5f, 1.5f);
-  norm.Parameters()[1]->value = Tensor::Randn({4}, rng, 0.2f);
-  const Tensor x = Tensor::Randn({2, 4, 3, 3}, rng);
-  const auto result = CheckGradients(norm, x, rng, /*epsilon=*/1e-3);
-  EXPECT_LT(result.max_input_error, 5e-2);
-  EXPECT_LT(result.max_param_error, 5e-2);
-}
-
-TEST(GroupNormTest, SingleGroupIsLayerNorm) {
-  // num_groups=1 normalizes over the whole sample.
-  GroupNorm norm(3, 1);
-  Rng rng(4);
-  const Tensor x = Tensor::Randn({1, 3, 2, 2}, rng, 4.0f);
-  const Tensor y = norm.Forward(x);
-  double mean = 0.0;
-  for (int64_t i = 0; i < y.numel(); ++i)
-    mean += static_cast<double>(y[i]);
-  EXPECT_NEAR(mean / static_cast<double>(y.numel()), 0.0, 1e-4);
-}
-
-TEST(SigmoidTest, ForwardAnchors) {
-  Sigmoid sigmoid;
-  const Tensor y = sigmoid.Forward(Tensor::Vector({0.0f, 100.0f, -100.0f}));
-  EXPECT_NEAR(y[0], 0.5f, 1e-6);
-  EXPECT_NEAR(y[1], 1.0f, 1e-6);
-  EXPECT_NEAR(y[2], 0.0f, 1e-6);
-}
-
-TEST(SigmoidTest, GradientCheck) {
-  Rng rng(5);
-  Sigmoid sigmoid;
-  const Tensor x = Tensor::Randn({3, 5}, rng);
-  const auto result = CheckGradients(sigmoid, x, rng);
-  EXPECT_LT(result.max_input_error, 1e-2);
-}
-
-TEST(LeakyReLUTest, ForwardSlope) {
-  LeakyReLU leaky(0.1f);
-  const Tensor y = leaky.Forward(Tensor::Vector({-2.0f, 3.0f}));
-  EXPECT_NEAR(y[0], -0.2f, 1e-6);
-  EXPECT_NEAR(y[1], 3.0f, 1e-6);
-}
-
-TEST(LeakyReLUTest, GradientCheck) {
-  Rng rng(6);
-  LeakyReLU leaky(0.1f);
-  Tensor x = Tensor::Randn({4, 4}, rng);
-  for (int64_t i = 0; i < x.numel(); ++i) {
-    if (std::fabs(x[i]) < 0.05f) x[i] = 0.5f;  // stay off the kink
-  }
-  const auto result = CheckGradients(leaky, x, rng);
-  EXPECT_LT(result.max_input_error, 1e-2);
-}
 
 TEST(MlpTest, ShapesAndParameterCount) {
   Rng rng(7);

@@ -1,4 +1,4 @@
-// Tests for the optimizer layer: SGD, DP-Adam, per-sample gradients,
+// Tests for the optimizer layer: DP-Adam, per-sample gradients,
 // perturbation-method plumbing and the IS / SUR techniques.
 
 #include <cmath>
@@ -16,40 +16,11 @@
 #include "optim/dp_adam.h"
 #include "optim/dp_sgd.h"
 #include "optim/geodp_sgd.h"
-#include "optim/sgd.h"
 #include "optim/techniques.h"
 #include "tensor/tensor_ops.h"
 
 namespace geodp {
 namespace {
-
-TEST(SgdTest, ConvergesOnQuadratic) {
-  // Minimize f(w) = ||w - target||^2 by hand-written gradients.
-  Parameter w("w", Tensor::Vector({5.0f, -3.0f}));
-  const Tensor target = Tensor::Vector({1.0f, 2.0f});
-  Sgd sgd({&w}, {.learning_rate = 0.1});
-  for (int step = 0; step < 200; ++step) {
-    sgd.ZeroGrad();
-    w.grad = Scale(Sub(w.value, target), 2.0f);
-    sgd.Step();
-  }
-  EXPECT_LT(MaxAbsDiff(w.value, target), 1e-3);
-}
-
-TEST(SgdTest, MomentumAcceleratesDescent) {
-  auto run = [](double momentum) {
-    Parameter w("w", Tensor::Vector({5.0f}));
-    const Tensor target = Tensor::Vector({0.0f});
-    Sgd sgd({&w}, {.learning_rate = 0.01, .momentum = momentum});
-    for (int step = 0; step < 50; ++step) {
-      sgd.ZeroGrad();
-      w.grad = Scale(Sub(w.value, target), 2.0f);
-      sgd.Step();
-    }
-    return std::fabs(w.value[0]);
-  };
-  EXPECT_LT(run(0.9), run(0.0));
-}
 
 TEST(FlatAdamTest, ConvergesOnQuadratic) {
   Parameter w("w", Tensor::Vector({5.0f, -3.0f, 2.0f}));

@@ -99,24 +99,6 @@ TEST(ParallelDeterminismTest, GeoDpPerturbBitIdentical) {
   EXPECT_EQ(MaxAbsDiff(serial, parallel), 0.0);
 }
 
-TEST(ParallelDeterminismTest, BatchPerturbBitIdentical) {
-  const auto [serial, parallel] = AtThreadCounts([] {
-    PerturbationOptions options;
-    options.clip_threshold = 0.1;
-    options.batch_size = 8;
-    options.noise_multiplier = 1.0;
-    const DpPerturber perturber(options);
-    Rng data_rng(23), noise_rng(29);
-    std::vector<Tensor> grads;
-    for (int i = 0; i < 9; ++i) grads.push_back(Tensor::Randn({512}, data_rng));
-    return BatchPerturb(perturber, grads, noise_rng);
-  });
-  ASSERT_EQ(serial.size(), parallel.size());
-  for (size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(MaxAbsDiff(serial[i], parallel[i]), 0.0) << "release " << i;
-  }
-}
-
 TEST(ParallelDeterminismTest, BatchSphericalMatchesElementwise) {
   SetGlobalThreadCount(8);
   Rng rng(31);

@@ -152,14 +152,6 @@ TEST(TensorOpsTest, MatmulIdentity) {
   EXPECT_TRUE(AllClose(Matmul(eye, a), a));
 }
 
-TEST(TensorOpsTest, MatVec) {
-  Tensor a = Tensor::FromVector({2, 3}, {1, 0, 2, 0, 1, 3});
-  Tensor x = Tensor::Vector({1, 2, 3});
-  Tensor y = MatVec(a, x);
-  EXPECT_EQ(y[0], 7.0f);
-  EXPECT_EQ(y[1], 11.0f);
-}
-
 TEST(TensorOpsTest, TransposeTwiceIsIdentity) {
   Rng rng(4);
   Tensor a = Tensor::Randn({3, 5}, rng);
@@ -221,14 +213,6 @@ TEST(TensorOpsTest, AllCloseTolerances) {
   Tensor c = Tensor::Vector({1.1f});
   EXPECT_FALSE(AllClose(a, c));
   EXPECT_FALSE(AllClose(a, Tensor::Vector({1.0f, 1.0f})));  // shape mismatch
-}
-
-TEST(TensorOpsTest, Concat1D) {
-  Tensor a = Tensor::Vector({1, 2});
-  Tensor b = Tensor::Vector({3});
-  Tensor c = Concat1D({a, b});
-  ASSERT_EQ(c.numel(), 3);
-  EXPECT_EQ(c[2], 3.0f);
 }
 
 TEST(TensorOpsTest, CosineSimilarity) {

@@ -169,7 +169,8 @@ ScheduleParams DeriveSchedule(uint64_t root_seed, int64_t index,
               rng.UniformInt(static_cast<uint64_t>(iterations - 1)));
   const ErrnoFault& fault =
       kFaultPalette[rng.UniformInt(kFaultPalette.size())];
-  const double probability = 0.01 * (1 + rng.UniformInt(3));
+  const double probability =
+      0.01 * static_cast<double>(1 + rng.UniformInt(3));
   std::array<char, 128> spec;
   std::snprintf(spec.data(), spec.size(), "%s@p=%g:%s", fault.site,
                 probability, fault.action);
