@@ -20,6 +20,14 @@ TEST(AnalyticGaussianTest, StandardNormalCdfAnchors) {
   EXPECT_NEAR(StandardNormalCdf(-1.96), 0.025, 1e-3);
 }
 
+TEST(AnalyticGaussianTest, DeltaKnownValues) {
+  // Phi(1/(2 sigma) - eps sigma) - e^eps Phi(-1/(2 sigma) - eps sigma),
+  // evaluated independently: the e^eps factor changes both values by
+  // more than 2x, so a dropped or misplaced factor cannot pass.
+  EXPECT_NEAR(AnalyticGaussianDelta(1.0, 1.0), 0.1269367, 0.1269367e-6);
+  EXPECT_NEAR(AnalyticGaussianDelta(2.0, 1.0), 0.0068296, 0.0068296e-6);
+}
+
 TEST(AnalyticGaussianTest, DeltaDecreasesWithSigma) {
   const double d1 = AnalyticGaussianDelta(0.5, 1.0);
   const double d2 = AnalyticGaussianDelta(1.0, 1.0);

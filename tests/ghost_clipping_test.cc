@@ -607,6 +607,91 @@ TEST(GradientGoldenTest, MlpBytesPerPathTierAndThreads) {
   SetGlobalThreadCount(entry_threads);
 }
 
+// ------------------------------------------------------------ CNN golden
+//
+// Pins the bytes of the CNN's materialized per-sample gradients, the path
+// that unfolds and folds every sample's convolutions: per SIMD tier, at 1
+// and 4 threads. The lot of 129 samples spans three pipeline blocks (64,
+// 64, 1); the lot visits the images in a stride-7 order. Two images in
+// the second block are poisoned. One (lot position 80) has a NaN pixel:
+// ReLU maps the NaN activations to 0 and the weight-gradient matmul skips
+// their zero output gradients, so the sample stays finite and is kept.
+// The other (lot position 100) is infinite everywhere; its logits and
+// loss come out NaN, so that sample is dropped. The same model is
+// called three times in a row, without, with and again without the
+// step-record outputs, so that state a call leaves in the layers or in
+// reused buffers cannot change the next call's bytes.
+
+GradientFingerprint CnnGradientFingerprint(Sequential& model,
+                                           const InMemoryDataset& data,
+                                           bool for_step_record) {
+  std::vector<int64_t> indices(static_cast<size_t>(data.size()));
+  for (int64_t i = 0; i < data.size(); ++i) {
+    indices[static_cast<size_t>(i)] = (i * 7) % data.size();
+  }
+  SoftmaxCrossEntropy loss;
+  const FlatClipper clipper(0.5);
+  const PrivateBatchGradient grads = ComputePerSampleGradients(
+      model, loss, data, indices, clipper, for_step_record);
+  GradientFingerprint out;
+  out.nonfinite_skipped = grads.nonfinite_skipped;
+  out.clipped_crc = TensorCrc(grads.averaged_clipped);
+  out.raw_crc = TensorCrc(grads.averaged_raw);
+  out.norms_crc = DoublesCrc(grads.sample_grad_norms);  // geodp: per-sample
+  out.losses_crc = DoublesCrc(grads.sample_losses);
+  return out;
+}
+
+TEST(GradientGoldenTest, CnnMaterializeBytesPerTierThreadsAndCall) {
+  constexpr int64_t kLot = 129;
+  InMemoryDataset train = MakeTrainSet(kLot, 90, /*size=*/14);
+  Tensor nan_pixel = train.image(44);
+  nan_pixel[60] = std::numeric_limits<float>::quiet_NaN();
+  Tensor inf_image = train.image(55);
+  inf_image.Fill(std::numeric_limits<float>::infinity());
+  InMemoryDataset data;
+  for (int64_t i = 0; i < train.size(); ++i) {
+    data.Add(i == 44 ? nan_pixel : i == 55 ? inf_image : train.image(i),
+             train.label(i));
+  }
+  // Indexed by SimdTier (scalar, avx2): the fingerprint with the
+  // step-record outputs. Without them the raw average and the norms are
+  // empty (CRC 0) and everything else is the same.
+  // clang-format off
+  const std::array<GradientFingerprint, 2> want = {{
+    {1, 0xeddd4155u, 0x57e9f08eu, 0x42d06418u, 0x6133442bu},
+    {1, 0x14c7142fu, 0xb013d1e6u, 0x43522b3bu, 0x4696806fu},
+  }};
+  // clang-format on
+  const SimdTier entry_tier = ActiveSimdTier();
+  const int entry_threads = GetGlobalThreadCount();
+  for (const SimdTier tier : AvailableSimdTiers()) {
+    SetSimdTier(tier);
+    for (const int threads : {1, 4}) {
+      SetGlobalThreadCount(threads);
+      SCOPED_TRACE(SimdTierName(tier));
+      SCOPED_TRACE("threads " + std::to_string(threads));
+      Rng rng(91);
+      auto model = MakeCnn(CnnConfig{}, rng);
+      for (const bool for_step_record : {false, true, false}) {
+        SCOPED_TRACE(for_step_record ? "with step record"
+                                     : "without step record");
+        const GradientFingerprint got =
+            CnnGradientFingerprint(*model, data, for_step_record);
+        const GradientFingerprint& pinned =
+            want[static_cast<size_t>(tier)];
+        EXPECT_EQ(got.nonfinite_skipped, pinned.nonfinite_skipped);
+        EXPECT_EQ(got.clipped_crc, pinned.clipped_crc);
+        EXPECT_EQ(got.raw_crc, for_step_record ? pinned.raw_crc : 0u);
+        EXPECT_EQ(got.norms_crc, for_step_record ? pinned.norms_crc : 0u);
+        EXPECT_EQ(got.losses_crc, pinned.losses_crc);
+      }
+    }
+  }
+  SetSimdTier(entry_tier);
+  SetGlobalThreadCount(entry_threads);
+}
+
 // ----------------------------------------------------------------- trainer
 
 TEST(TrainerGhostTest, GhostModeTrainsAndConverges) {

@@ -1,11 +1,17 @@
 // Tests for the MLP model factory, the im2col unfold and the equivalence of
 // Conv2d's direct and im2col implementations.
 
+#include <bit>
+#include <cstring>
+#include <iterator>
+#include <limits>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "base/rng.h"
+#include "base/thread_pool.h"
 #include "models/mlp.h"
 #include "nn/conv2d.h"
 #include "nn/im2col.h"
@@ -83,45 +89,133 @@ TEST(Im2ColTest, PaddingProducesZeros) {
   EXPECT_NEAR(columns.Sum(), 7.0, 1e-6);
 }
 
-TEST(Im2ColTest, BothLayoutsMatchTheDefinitionAtEveryPadding) {
-  // Paddings from none to wider than the kernel (whole rows and columns of
-  // the unfold fall in the border), odd image sizes, one and two channels.
-  for (const int64_t kernel : {int64_t{1}, int64_t{2}, int64_t{3}}) {
-    for (const int64_t padding : {int64_t{0}, int64_t{1}, int64_t{4}}) {
-      for (const int64_t channels : {int64_t{1}, int64_t{2}}) {
-        const int64_t height = 3, width = 5;
-        Rng rng(static_cast<uint64_t>(10 * kernel + padding));
-        const Tensor image = Tensor::Randn({channels, height, width}, rng);
-        const int64_t out_h = height + 2 * padding - kernel + 1;
-        const int64_t out_w = width + 2 * padding - kernel + 1;
-        const int64_t rows = channels * kernel * kernel;
-        const int64_t spatial = out_h * out_w;
-        Tensor want({rows, spatial});
-        for (int64_t r = 0; r < rows; ++r) {
-          const int64_t c = r / (kernel * kernel);
-          const int64_t kh = (r / kernel) % kernel, kw = r % kernel;
-          for (int64_t s = 0; s < spatial; ++s) {
-            const int64_t ih = s / out_w + kh - padding;
-            const int64_t iw = s % out_w + kw - padding;
-            const bool inside = ih >= 0 && ih < height && iw >= 0 && iw < width;
-            want[r * spatial + s] = inside ? image.at({c, ih, iw}) : 0.0f;
-          }
-        }
-        SCOPED_TRACE("kernel " + std::to_string(kernel) + " padding " +
-                     std::to_string(padding) + " channels " +
-                     std::to_string(channels));
-        // Poisoned buffers: every element must be written.
-        Tensor columns = Tensor::Full({rows, spatial}, -7.0f);
-        Im2ColInto(image.data(), channels, height, width, kernel, padding,
-                   columns.data());
-        EXPECT_EQ(MaxAbsDiff(columns, want), 0.0);
-        Tensor columns_t = Tensor::Full({spatial, rows}, -7.0f);
-        Im2ColTransposedInto(image.data(), channels, height, width, kernel,
-                             padding, columns_t.data());
-        EXPECT_EQ(MaxAbsDiff(columns_t, Transpose(want)), 0.0);
+// One unfold or fold problem: a C x H x W image and a K x K kernel with
+// symmetric padding P.
+struct UnfoldShape {
+  int64_t kernel, padding, channels, height, width;
+  int64_t out_h() const { return height + 2 * padding - kernel + 1; }
+  int64_t out_w() const { return width + 2 * padding - kernel + 1; }
+  int64_t rows() const { return channels * kernel * kernel; }
+  int64_t spatial() const { return out_h() * out_w(); }
+  std::string Name() const {
+    return "kernel " + std::to_string(kernel) + " padding " +
+           std::to_string(padding) + " image " + std::to_string(channels) +
+           "x" + std::to_string(height) + "x" + std::to_string(width);
+  }
+};
+
+// Paddings from none to wider than the kernel (whole rows and columns of
+// the unfold fall in the border), odd image sizes, one and two channels,
+// kernels up to 5; then the CNN's two convolutions (1x14x14 with padding
+// 1, and 6x7x7 without).
+std::vector<UnfoldShape> UnfoldShapes() {
+  std::vector<UnfoldShape> shapes;
+  for (const int64_t kernel : {1, 2, 3, 5}) {
+    for (const int64_t padding : {0, 1, 4, 6}) {
+      for (const int64_t channels : {1, 2}) {
+        shapes.push_back({kernel, padding, channels, 5, 7});
       }
     }
   }
+  shapes.push_back({3, 1, 1, 14, 14});
+  shapes.push_back({3, 0, 6, 7, 7});
+  return shapes;
+}
+
+// Bitwise equality, so that a signed zero or a NaN payload counts.
+bool SameBits(const Tensor& a, const Tensor& b) {
+  return a.numel() == b.numel() &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<size_t>(a.numel()) * sizeof(float)) == 0;
+}
+
+TEST(Im2ColTest, BothLayoutsMatchTheDefinitionAtEveryPadding) {
+  for (const UnfoldShape& shape : UnfoldShapes()) {
+    SCOPED_TRACE(shape.Name());
+    const auto [kernel, padding, channels, height, width] = shape;
+    const int64_t out_w = shape.out_w();
+    const int64_t rows = shape.rows(), spatial = shape.spatial();
+    Rng rng(static_cast<uint64_t>(10 * kernel + padding));
+    Tensor image = Tensor::Randn({channels, height, width}, rng);
+    // A signed zero inside the image must be copied, not replaced by the
+    // padding's +0.
+    image[image.numel() / 2] = -0.0f;
+    Tensor want({rows, spatial});
+    for (int64_t r = 0; r < rows; ++r) {
+      const int64_t c = r / (kernel * kernel);
+      const int64_t kh = (r / kernel) % kernel, kw = r % kernel;
+      for (int64_t s = 0; s < spatial; ++s) {
+        const int64_t ih = s / out_w + kh - padding;
+        const int64_t iw = s % out_w + kw - padding;
+        const bool inside = ih >= 0 && ih < height && iw >= 0 && iw < width;
+        want[r * spatial + s] = inside ? image.at({c, ih, iw}) : 0.0f;
+      }
+    }
+    // Poisoned buffers: every element must be written.
+    Tensor columns = Tensor::Full({rows, spatial}, -7.0f);
+    Im2ColInto(image.data(), channels, height, width, kernel, padding,
+               columns.data());
+    EXPECT_TRUE(SameBits(columns, want));
+    Tensor columns_t = Tensor::Full({spatial, rows}, -7.0f);
+    Im2ColTransposedInto(image.data(), channels, height, width, kernel,
+                         padding, columns_t.data());
+    EXPECT_TRUE(SameBits(columns_t, Transpose(want)));
+  }
+}
+
+TEST(Im2ColTest, Col2ImMatchesTheDefinitionBitForBit) {
+  // x86's default NaN (sign bit set), the NaN that inf + -inf produces:
+  // with it as the only NaN, every NaN sum has the same bits whichever
+  // operand the compiler puts first.
+  const float nan = std::bit_cast<float>(0xffc00000u);
+  const float inf = std::numeric_limits<float>::infinity();
+  const int entry_threads = GetGlobalThreadCount();
+  for (const int threads : {1, 4}) {
+    SetGlobalThreadCount(threads);
+    for (const UnfoldShape& shape : UnfoldShapes()) {
+      SCOPED_TRACE(shape.Name() + " threads " + std::to_string(threads));
+      const auto [kernel, padding, channels, height, width] = shape;
+      const int64_t out_h = shape.out_h(), out_w = shape.out_w();
+      const int64_t spatial = shape.spatial();
+      Rng rng(static_cast<uint64_t>(100 * kernel + padding));
+      Tensor columns = Tensor::Randn({shape.rows(), spatial}, rng);
+      const float specials[] = {-0.0f, nan, inf, -inf, -0.0f, inf};
+      for (size_t i = 0; i < std::size(specials); ++i) {
+        const int64_t at = static_cast<int64_t>(
+            rng.UniformInt(static_cast<uint64_t>(columns.numel())));
+        columns[at] = specials[i];
+      }
+      // The fold accumulates onto a partial sum: start from one that
+      // holds signed zeros.
+      Tensor start = Tensor::Randn({channels, height, width}, rng);
+      for (int64_t i = 0; i < start.numel(); i += 3) start[i] = -0.0f;
+
+      // Definition: one += per (row, output position) inside the image,
+      // rows in order.
+      Tensor want = start;
+      for (int64_t c = 0; c < channels; ++c) {
+        for (int64_t kh = 0; kh < kernel; ++kh) {
+          for (int64_t kw = 0; kw < kernel; ++kw) {
+            const int64_t row = (c * kernel + kh) * kernel + kw;
+            for (int64_t oh = 0; oh < out_h; ++oh) {
+              for (int64_t ow = 0; ow < out_w; ++ow) {
+                const int64_t ih = oh + kh - padding;
+                const int64_t iw = ow + kw - padding;
+                if (ih < 0 || ih >= height || iw < 0 || iw >= width) continue;
+                want[(c * height + ih) * width + iw] +=
+                    columns[row * spatial + oh * out_w + ow];
+              }
+            }
+          }
+        }
+      }
+      Tensor got = start;
+      Col2ImInto(columns.data(), channels, height, width, kernel, padding,
+                 got.data());
+      EXPECT_TRUE(SameBits(got, want));
+    }
+  }
+  SetGlobalThreadCount(entry_threads);
 }
 
 TEST(Im2ColTest, Col2ImAccumulatesOverlaps) {
