@@ -3,8 +3,6 @@
 #include <algorithm>
 
 #include "base/check.h"
-#include "base/simd/kernels.h"
-#include "base/thread_pool.h"
 
 namespace geodp {
 
@@ -28,15 +26,84 @@ Tensor Im2Col(const Tensor& image, int64_t kernel_size, int64_t padding) {
 
 namespace {
 
-// dst[i] = src_row[i + shift] for i in [0, count), where reads outside
-// [0, width) give the zero padding. A pure copy, so the unfold is exact.
-void CopyPadded(float* dst, const float* src_row, int64_t count,
-                int64_t shift, int64_t width) {
-  const int64_t lo = std::clamp<int64_t>(-shift, 0, count);
-  const int64_t hi = std::clamp<int64_t>(width - shift, lo, count);
-  std::fill(dst, dst + lo, 0.0f);
-  if (hi > lo) std::copy_n(src_row + lo + shift, hi - lo, dst + lo);
-  std::fill(dst + hi, dst + count, 0.0f);
+// Both unfolds are one template over the kernel size: kK > 0 fixes it at
+// compile time (every model in src/models/ uses 3x3 kernels, whose K-wide
+// runs then unroll), kK == 0 reads it from `kernel_size`. Each output
+// element is either a copy of one image element or the padding's +0, so
+// the unfold is exact on every instance.
+
+template <int64_t kK>
+void Im2ColRows(const float* image, int64_t channels, int64_t height,
+                int64_t width, int64_t kernel_size, int64_t padding,
+                float* columns) {
+  const int64_t k = kK > 0 ? kK : kernel_size;
+  const int64_t out_h = height + 2 * padding - k + 1;
+  const int64_t out_w = width + 2 * padding - k + 1;
+  float* dst = columns;
+  // One column-matrix row per (c, kh, kw); its output row oh reads image
+  // row oh + kh - padding at columns ow + kw - padding, which lie inside
+  // the image for ow in [ow_lo, ow_hi).
+  for (int64_t c = 0; c < channels; ++c) {
+    for (int64_t kh = 0; kh < k; ++kh) {
+      for (int64_t kw = 0; kw < k; ++kw) {
+        const int64_t ow_lo = std::clamp<int64_t>(padding - kw, 0, out_w);
+        const int64_t ow_hi =
+            std::clamp<int64_t>(width + padding - kw, ow_lo, out_w);
+        for (int64_t oh = 0; oh < out_h; ++oh, dst += out_w) {
+          const int64_t ih = oh + kh - padding;
+          if (ih < 0 || ih >= height) {
+            for (int64_t ow = 0; ow < out_w; ++ow) dst[ow] = 0.0f;
+            continue;
+          }
+          const float* src = image + (c * height + ih) * width;
+          const int64_t shift = kw - padding;
+          for (int64_t ow = 0; ow < ow_lo; ++ow) dst[ow] = 0.0f;
+          for (int64_t ow = ow_lo; ow < ow_hi; ++ow) dst[ow] = src[ow + shift];
+          for (int64_t ow = ow_hi; ow < out_w; ++ow) dst[ow] = 0.0f;
+        }
+      }
+    }
+  }
+}
+
+template <int64_t kK>
+void Im2ColTransposedRows(const float* image, int64_t channels,
+                          int64_t height, int64_t width, int64_t kernel_size,
+                          int64_t padding, float* columns_t) {
+  const int64_t k = kK > 0 ? kK : kernel_size;
+  const int64_t out_h = height + 2 * padding - k + 1;
+  const int64_t out_w = width + 2 * padding - k + 1;
+  float* dst = columns_t;
+  // One row per output position (oh, ow); its K-wide run for (c, kh)
+  // reads image row oh + kh - padding from column ow - padding. The taps
+  // inside the image are kh in [kh_lo, kh_hi) and kw in [kw_lo, kw_hi).
+  for (int64_t oh = 0; oh < out_h; ++oh) {
+    const int64_t kh_lo = std::clamp<int64_t>(padding - oh, 0, k);
+    const int64_t kh_hi =
+        std::clamp<int64_t>(height + padding - oh, kh_lo, k);
+    for (int64_t ow = 0; ow < out_w; ++ow) {
+      const int64_t kw_lo = std::clamp<int64_t>(padding - ow, 0, k);
+      const int64_t kw_hi =
+          std::clamp<int64_t>(width + padding - ow, kw_lo, k);
+      for (int64_t c = 0; c < channels; ++c) {
+        for (int64_t kh = 0; kh < k; ++kh, dst += k) {
+          if (kh < kh_lo || kh >= kh_hi) {
+            for (int64_t kw = 0; kw < k; ++kw) dst[kw] = 0.0f;
+            continue;
+          }
+          const float* src = image + (c * height + oh + kh - padding) * width;
+          const int64_t shift = ow - padding;
+          if (kw_lo == 0 && kw_hi == k) {  // the whole run is inside
+            for (int64_t kw = 0; kw < k; ++kw) dst[kw] = src[kw + shift];
+            continue;
+          }
+          for (int64_t kw = 0; kw < k; ++kw) {
+            dst[kw] = kw >= kw_lo && kw < kw_hi ? src[kw + shift] : 0.0f;
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
@@ -44,51 +111,15 @@ void CopyPadded(float* dst, const float* src_row, int64_t count,
 void Im2ColInto(const float* image, int64_t channels, int64_t height,
                 int64_t width, int64_t kernel_size, int64_t padding,
                 float* columns) {
-  const int64_t out_h = height + 2 * padding - kernel_size + 1;
-  const int64_t out_w = width + 2 * padding - kernel_size + 1;
-  float* dst = columns;
-  // One column-matrix row per (c, kh, kw); its output row oh reads image
-  // row oh + kh - padding, shifted by kw - padding.
-  for (int64_t c = 0; c < channels; ++c) {
-    for (int64_t kh = 0; kh < kernel_size; ++kh) {
-      for (int64_t kw = 0; kw < kernel_size; ++kw) {
-        for (int64_t oh = 0; oh < out_h; ++oh, dst += out_w) {
-          const int64_t ih = oh + kh - padding;
-          if (ih < 0 || ih >= height) {
-            std::fill(dst, dst + out_w, 0.0f);
-          } else {
-            CopyPadded(dst, image + (c * height + ih) * width, out_w,
-                       kw - padding, width);
-          }
-        }
-      }
-    }
-  }
+  (kernel_size == 3 ? Im2ColRows<3> : Im2ColRows<0>)(
+      image, channels, height, width, kernel_size, padding, columns);
 }
 
 void Im2ColTransposedInto(const float* image, int64_t channels,
                           int64_t height, int64_t width, int64_t kernel_size,
                           int64_t padding, float* columns_t) {
-  const int64_t out_h = height + 2 * padding - kernel_size + 1;
-  const int64_t out_w = width + 2 * padding - kernel_size + 1;
-  float* dst = columns_t;
-  // One row per output position (oh, ow); its K-wide run for (c, kh)
-  // reads image row oh + kh - padding from column ow - padding.
-  for (int64_t oh = 0; oh < out_h; ++oh) {
-    for (int64_t ow = 0; ow < out_w; ++ow) {
-      for (int64_t c = 0; c < channels; ++c) {
-        for (int64_t kh = 0; kh < kernel_size; ++kh, dst += kernel_size) {
-          const int64_t ih = oh + kh - padding;
-          if (ih < 0 || ih >= height) {
-            std::fill(dst, dst + kernel_size, 0.0f);
-          } else {
-            CopyPadded(dst, image + (c * height + ih) * width, kernel_size,
-                       ow - padding, width);
-          }
-        }
-      }
-    }
-  }
+  (kernel_size == 3 ? Im2ColTransposedRows<3> : Im2ColTransposedRows<0>)(
+      image, channels, height, width, kernel_size, padding, columns_t);
 }
 
 Tensor Col2Im(const Tensor& columns, int64_t channels, int64_t height,
@@ -110,36 +141,32 @@ void Col2ImInto(const float* columns, int64_t channels, int64_t height,
                 float* image) {
   const int64_t out_h = height + 2 * padding - kernel_size + 1;
   const int64_t out_w = width + 2 * padding - kernel_size + 1;
-  const float* src = columns;
-  float* dst = image;
   const int64_t spatial = out_h * out_w;
-  // Overlapping receptive fields of one channel scatter into the same
-  // image plane, so the fold parallelizes over channels (disjoint planes);
-  // within a channel the kernel loops keep their serial accumulation
-  // order, so the result is bit-identical at any thread count.
-  ParallelFor(0, channels, /*grain=*/1, [&](int64_t c_begin, int64_t c_end) {
-    for (int64_t c = c_begin; c < c_end; ++c) {
-      int64_t row = c * kernel_size * kernel_size;
-      for (int64_t kh = 0; kh < kernel_size; ++kh) {
-        for (int64_t kw = 0; kw < kernel_size; ++kw, ++row) {
-          const float* src_row = src + row * spatial;
-          // The in-bounds part of each output row is one contiguous span:
-          // ow in [ow_lo, ow_hi) maps to iw = ow + kw - padding.
-          const int64_t ow_lo = std::max<int64_t>(0, padding - kw);
-          const int64_t ow_hi =
-              std::min<int64_t>(out_w, width - kw + padding);
-          for (int64_t oh = 0; oh < out_h; ++oh) {
-            const int64_t ih = oh + kh - padding;
-            if (ih < 0 || ih >= height) continue;
-            if (ow_hi <= ow_lo) continue;
-            float* dst_row = dst + (c * height + ih) * width;
-            simd::Add(dst_row + ow_lo + kw - padding,
-                      src_row + oh * out_w + ow_lo, ow_hi - ow_lo);
-          }
+  // Serial: a fold is a few thousand adds per sample, less than a pool
+  // fork-join costs. Each row (c, kh, kw) adds its in-bounds outputs onto
+  // the image in row order, one add per element, so an image element
+  // receives its contributions in (kh, kw) order.
+  for (int64_t c = 0; c < channels; ++c) {
+    int64_t row = c * kernel_size * kernel_size;
+    for (int64_t kh = 0; kh < kernel_size; ++kh) {
+      for (int64_t kw = 0; kw < kernel_size; ++kw, ++row) {
+        const float* src_row = columns + row * spatial;
+        // Output ow maps to image column ow + kw - padding, inside the
+        // image for ow in [ow_lo, ow_hi).
+        const int64_t ow_lo = std::clamp<int64_t>(padding - kw, 0, out_w);
+        const int64_t ow_hi =
+            std::clamp<int64_t>(width + padding - kw, ow_lo, out_w);
+        for (int64_t oh = 0; oh < out_h; ++oh) {
+          const int64_t ih = oh + kh - padding;
+          if (ih < 0 || ih >= height) continue;
+          float* dst = image + (c * height + ih) * width;
+          const float* src = src_row + oh * out_w;
+          const int64_t shift = kw - padding;
+          for (int64_t ow = ow_lo; ow < ow_hi; ++ow) dst[ow + shift] += src[ow];
         }
       }
     }
-  });
+  }
 }
 
 }  // namespace geodp

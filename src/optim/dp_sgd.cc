@@ -41,6 +41,16 @@ PrivateBatchGradient ComputePerSampleGradients(
   if (for_step_record)
     result.sample_grad_norms.reserve(indices.size());  // geodp: per-sample
 
+  // The loop allocates no per-sample staging: each image is copied into
+  // one reused [1, ...image shape] input, and each gradient is flattened
+  // into a block slot recycled across pipeline blocks. Slots [0, filled) hold
+  // the block's finite samples; a non-finite sample's slot is overwritten
+  // by the next sample.
+  const Tensor& first_image = dataset.image(indices.front());
+  std::vector<int64_t> input_shape = first_image.shape();
+  input_shape.insert(input_shape.begin(), 1);
+  Tensor x(input_shape);
+  std::vector<int64_t> y(1);
   std::vector<Tensor> block;
   block.reserve(std::min(kPipelineBlock, indices.size()));
   std::vector<double> block_norms;  // geodp: per-sample norms for the clip
@@ -50,16 +60,23 @@ PrivateBatchGradient ComputePerSampleGradients(
   while (pos < indices.size()) {
     const size_t block_end =
         std::min(pos + kPipelineBlock, indices.size());
+    size_t filled = 0;
     {
       const TraceSpan span("step.forward_backward");
       for (; pos < block_end; ++pos) {
         const int64_t index = indices[pos];
         ZeroGradients(params);
-        const Tensor x = dataset.StackImages({index});
-        const std::vector<int64_t> y = {dataset.label(index)};
+        const Tensor& image = dataset.image(index);
+        std::copy_n(image.data(), image.numel(), x.data());
+        y[0] = dataset.label(index);
         const double sample_loss = loss.Forward(model.Forward(x), y);
         model.BackwardParameters(loss.Backward(), nullptr);
-        Tensor grad = FlattenGradients(params);
+        if (filled == block.size()) block.emplace_back(Tensor({flat_dim}));
+        Tensor& grad = block[filled];
+        float* flat = grad.data();
+        for (const Parameter* p : params) {
+          flat = std::copy_n(p->grad.data(), p->grad.numel(), flat);
+        }
         // Any non-finite gradient element makes the L2 norm non-finite,
         // so one norm (a pass the clipper needs anyway, orders of
         // magnitude cheaper than the backward pass) detects NaN/Inf
@@ -70,7 +87,7 @@ PrivateBatchGradient ComputePerSampleGradients(
         const bool finite =
             std::isfinite(sample_loss) && std::isfinite(norm);
         if (finite) {
-          block.push_back(std::move(grad));
+          ++filled;
           block_norms.push_back(norm);  // geodp: per-sample
           result.mean_loss += sample_loss;
           ++finite_samples;
@@ -82,11 +99,13 @@ PrivateBatchGradient ComputePerSampleGradients(
         result.sample_losses.push_back(sample_loss);
       }
     }
+    // Slots past the finite samples (a partial last block, or a dropped
+    // sample's slot) leave the block; the next block reallocates them.
+    block.resize(filled);
     const TraceSpan span("step.clip_accumulate");
     AccumulateClipped(block, clipper, result.averaged_clipped,
                       &block_norms);  // geodp: per-sample
     if (for_step_record) AccumulateSum(block, result.averaged_raw);
-    block.clear();
     block_norms.clear();  // geodp: per-sample
   }
   ZeroGradients(params);

@@ -281,10 +281,10 @@ void CheckTokenRules(const std::string& path, const PathInfo& info,
         r3_line = line;
         findings.push_back(
             {RuleId::kR3CheckAbort, path, line,
-             "'" + std::string(ident) +
+             std::string("'").append(ident).append(
                  "' in a Status-returning library path — return "
                  "geodp::Status, or annotate a true internal invariant "
-                 "with `// geodp: check-ok`"});
+                 "with `// geodp: check-ok`")});
       }
     }
 
