@@ -456,10 +456,17 @@ TEST(MaxPoolTest, ForwardAndArgmaxMatchHistoricalLoopBitForBit) {
   // position and all-negative windows common.
   const float alphabet[] = {nan,  -nan, 0.0f, -0.0f, -1.0f, -1.0f, 2.0f,
                             2.0f, kInf, -kInf, -3.5f, 0.25f, -0.5f};
-  for (const int64_t window : {int64_t{2}, int64_t{3}}) {
-    SCOPED_TRACE(window);
-    Rng rng(33 + static_cast<uint64_t>(window));
-    Tensor x({3, 2, 6 * window / 2, 4 * window / 2});
+  const SimdTier entry_tier = ActiveSimdTier();
+  // Output widths 7 (the CNN's 14 -> 7), 8, 9 and 17 reach the vector
+  // body of a several-outputs-per-vector 2x2 kernel and its overlapped
+  // last vector; width 2 does not.
+  const std::pair<int64_t, int64_t> shapes[] = {{2, 2}, {3, 2}, {2, 7},
+                                                {2, 8}, {2, 9}, {2, 17}};
+  for (const auto& [window, out_w] : shapes) {
+    SCOPED_TRACE("window " + std::to_string(window) + ", output width " +
+                 std::to_string(out_w));
+    Rng rng(31 + static_cast<uint64_t>(window + out_w));
+    Tensor x({3, 2, 3 * window, out_w * window});
     for (int64_t i = 0; i < x.numel(); ++i) {
       x[i] = alphabet[rng.UniformInt(13)];
     }
@@ -471,9 +478,6 @@ TEST(MaxPoolTest, ForwardAndArgmaxMatchHistoricalLoopBitForBit) {
     }
     std::vector<int64_t> want_argmax;
     const Tensor want = HistoricalMaxPool(x, window, want_argmax);
-
-    MaxPool2d pool(window);
-    EXPECT_EQ(FirstBitMismatch(pool.Forward(x), want), -1);
     // Distinct output gradients land on each window's argmax, so the
     // input gradient reads the argmax out exactly.
     Tensor gy(want.shape());
@@ -482,8 +486,15 @@ TEST(MaxPoolTest, ForwardAndArgmaxMatchHistoricalLoopBitForBit) {
       gy[i] = static_cast<float>(i + 1);
       want_gx[want_argmax[static_cast<size_t>(i)]] += gy[i];
     }
-    EXPECT_EQ(FirstBitMismatch(pool.Backward(gy), want_gx), -1);
+    for (const SimdTier tier : AvailableSimdTiers()) {
+      SetSimdTier(tier);
+      SCOPED_TRACE(SimdTierName(tier));
+      MaxPool2d pool(window);
+      EXPECT_EQ(FirstBitMismatch(pool.Forward(x), want), -1);
+      EXPECT_EQ(FirstBitMismatch(pool.Backward(gy), want_gx), -1);
+    }
   }
+  SetSimdTier(entry_tier);
 }
 
 // Conv2d's im2col path as first written against the public tensor ops: a

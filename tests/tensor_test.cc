@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "base/rng.h"
+#include "base/simd/dispatch.h"
 #include "tensor/tensor.h"
 #include "tensor/tensor_ops.h"
 
@@ -168,28 +169,35 @@ TEST(TensorOpsTest, TransposeMatchesMatmulIdentity) {
 }
 
 TEST(TensorOpsTest, TransposeMapsEveryElementExactly) {
-  // Edge shapes, shapes either side of the copy's cache-block size, and
-  // the wide MLP's first weight. Each element holds its own flat index,
-  // so any wrong index map shows up as a mismatch.
+  // Edge shapes, shapes either side of the copy's cache-block size, the
+  // wide MLP's first weight, the CNN's classifier weight and conv2's
+  // unfolded weight both ways. Each element holds its own flat index, so
+  // any wrong index map shows up as a mismatch.
   const std::vector<std::pair<int64_t, int64_t>> shapes = {
       {1, 1},  {1, 77},  {77, 1},  {15, 17},  {16, 16},  {17, 15},
       {31, 33}, {32, 32}, {33, 31}, {63, 65}, {64, 64}, {65, 129},
-      {768, 196}};
+      {768, 196}, {10, 300}, {12, 54}, {54, 12}};
+  const SimdTier entry_tier = ActiveSimdTier();
   for (const auto& [m, n] : shapes) {
     SCOPED_TRACE(std::to_string(m) + "x" + std::to_string(n));
     Tensor a({m, n});
     for (int64_t i = 0; i < a.numel(); ++i) a[i] = static_cast<float>(i);
-    const Tensor out = Transpose(a);
-    ASSERT_EQ(out.dim(0), n);
-    ASSERT_EQ(out.dim(1), m);
-    int64_t mismatches = 0;
-    for (int64_t i = 0; i < m; ++i) {
-      for (int64_t j = 0; j < n; ++j) {
-        if (out[j * m + i] != a[i * n + j]) ++mismatches;
+    for (const SimdTier tier : AvailableSimdTiers()) {
+      SetSimdTier(tier);
+      SCOPED_TRACE(SimdTierName(tier));
+      const Tensor out = Transpose(a);
+      ASSERT_EQ(out.dim(0), n);
+      ASSERT_EQ(out.dim(1), m);
+      int64_t mismatches = 0;
+      for (int64_t i = 0; i < m; ++i) {
+        for (int64_t j = 0; j < n; ++j) {
+          if (out[j * m + i] != a[i * n + j]) ++mismatches;
+        }
       }
+      EXPECT_EQ(mismatches, 0);
     }
-    EXPECT_EQ(mismatches, 0);
   }
+  SetSimdTier(entry_tier);
 }
 
 TEST(TensorOpsTest, ArgMaxRows) {
