@@ -44,6 +44,11 @@ double SumSquares(const float* x, int64_t n) {
   return ActiveKernels().sum_squares(x, n);
 }
 
+std::array<double, 4> SumSquares4(const std::array<const float*, 4>& x,
+                                  int64_t n) {
+  return ActiveKernels().sum_squares4(x, n);
+}
+
 double Dot(const float* a, const float* b, int64_t n) {
   return ActiveKernels().dot(a, b, n);
 }
@@ -52,6 +57,22 @@ void MatmulRowBlock(const float* a, const float* b, float* out,
                     int64_t row_begin, int64_t row_end, int64_t k,
                     int64_t n) {
   ActiveKernels().matmul_row_block(a, b, out, row_begin, row_end, k, n);
+}
+
+void TransposeTile(const float* src, int64_t src_stride, float* dst,
+                   int64_t dst_stride, int64_t rows, int64_t cols) {
+  ActiveKernels().transpose_tile(src, src_stride, dst, dst_stride, rows,
+                                 cols);
+}
+
+void CopyRuns(const float* src, int64_t src_stride, float* dst,
+              int64_t dst_stride, int64_t runs, int64_t n) {
+  ActiveKernels().copy_runs(src, src_stride, dst, dst_stride, runs, n);
+}
+
+void MaxPool2x2(const float* x, int64_t planes, int64_t out_h,
+                int64_t out_w, float* out, int64_t* argmax) {
+  ActiveKernels().max_pool_2x2(x, planes, out_h, out_w, out, argmax);
 }
 
 void SqrtArray(const double* x, double* out, int64_t n) {

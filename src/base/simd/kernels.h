@@ -17,6 +17,7 @@
 #ifndef GEODP_BASE_SIMD_KERNELS_H_
 #define GEODP_BASE_SIMD_KERNELS_H_
 
+#include <array>
 #include <cstdint>
 
 #include "base/rng.h"
@@ -51,6 +52,12 @@ void ClipAxpy(float* acc, const float* per_sample_grad, float scale,
 /// Sum of x[i]^2 accumulated in double precision.
 double SumSquares(const float* x, int64_t n);
 
+/// SumSquares of four arrays of n floats each, bit for bit: four
+/// independent chains, each with SumSquares' association on the active
+/// tier, run side by side so that their latencies overlap.
+std::array<double, 4> SumSquares4(const std::array<const float*, 4>& x,
+                                  int64_t n);
+
 /// Dot product accumulated in double precision.
 double Dot(const float* a, const float* b, int64_t n);
 
@@ -61,6 +68,28 @@ double Dot(const float* a, const float* b, int64_t n);
 /// association is fixed by the tile structure, not the thread count.
 void MatmulRowBlock(const float* a, const float* b, float* out,
                     int64_t row_begin, int64_t row_end, int64_t k, int64_t n);
+
+/// dst[j * dst_stride + i] = src[i * src_stride + j] for i < rows and
+/// j < cols: one cache block of a transpose. An exact copy on every tier.
+void TransposeTile(const float* src, int64_t src_stride, float* dst,
+                   int64_t dst_stride, int64_t rows, int64_t cols);
+
+/// Copies `runs` runs of n floats, run r from src + r * src_stride to
+/// dst + r * dst_stride. Source and destination must not overlap. An
+/// exact copy on every tier; the AVX2 tier's last vector of a run
+/// overlaps the one before it instead of taking a scalar tail.
+void CopyRuns(const float* src, int64_t src_stride, float* dst,
+              int64_t dst_stride, int64_t runs, int64_t n);
+
+/// Non-overlapping 2x2 max pooling of `planes` contiguous planes of
+/// [2 * out_h, 2 * out_w] floats into [planes, out_h, out_w]. Each window
+/// is visited in row-major order: its first element seeds the max and
+/// only a strictly greater one replaces it (an ordered compare, so a NaN
+/// never replaces and a leading NaN is kept). argmax receives the flat
+/// index into x of each output's element. Requires 2 * out_w < 2^31.
+/// Identical on every tier.
+void MaxPool2x2(const float* x, int64_t planes, int64_t out_h,
+                int64_t out_w, float* out, int64_t* argmax);
 
 /// out[i] = sqrt(x[i]). sqrt is correctly rounded on every tier, so this
 /// kernel is bit-identical across tiers.

@@ -13,8 +13,10 @@
 
 #include <immintrin.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstring>
 #include <numbers>
 
 #include "base/simd/avx2_math.h"
@@ -82,6 +84,30 @@ double SumSquaresAvx2(const float* x, int64_t n) {
     sum = std::fma(static_cast<double>(x[i]), static_cast<double>(x[i]), sum);
   }
   return sum;
+}
+
+// Four SumSquaresAvx2 chains side by side: the same accumulator, FMA
+// order, horizontal sum and fma tail per array.
+std::array<double, 4> SumSquares4Avx2(const std::array<const float*, 4>& x,
+                                      int64_t n) {
+  __m256d acc[4] = {_mm256_setzero_pd(), _mm256_setzero_pd(),
+                    _mm256_setzero_pd(), _mm256_setzero_pd()};
+  int64_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    for (size_t s = 0; s < 4; ++s) {
+      const __m256d v = _mm256_cvtps_pd(_mm_loadu_ps(x[s] + i));
+      acc[s] = _mm256_fmadd_pd(v, v, acc[s]);
+    }
+  }
+  std::array<double, 4> sums;
+  for (size_t s = 0; s < 4; ++s) {
+    sums[s] = HorizontalSum(acc[s]);
+    for (int64_t t = i; t < n; ++t) {
+      const double v = static_cast<double>(x[s][t]);
+      sums[s] = std::fma(v, v, sums[s]);
+    }
+  }
+  return sums;
 }
 
 double DotAvx2(const float* a, const float* b, int64_t n) {
@@ -199,6 +225,126 @@ void MatmulRowBlockAvx2(const float* a, const float* b, float* out,
         }
         for (; j < n; ++j) orow[j] = std::fma(aik, brow[j], orow[j]);
       }
+    }
+  }
+}
+
+// Transposes the 8x8 block at src into dst in registers: pairs of rows
+// interleave, then pairs of pairs, then the 128-bit halves swap.
+void Transpose8x8(const float* src, int64_t src_stride, float* dst,
+                  int64_t dst_stride) {
+  __m256 r[8];
+  for (int64_t i = 0; i < 8; ++i) r[i] = _mm256_loadu_ps(src + i * src_stride);
+  __m256 t[8];
+  for (int i = 0; i < 8; i += 2) {
+    t[i] = _mm256_unpacklo_ps(r[i], r[i + 1]);
+    t[i + 1] = _mm256_unpackhi_ps(r[i], r[i + 1]);
+  }
+  __m256 u[8];
+  for (int h = 0; h < 8; h += 4) {
+    u[h] = _mm256_shuffle_ps(t[h], t[h + 2], _MM_SHUFFLE(1, 0, 1, 0));
+    u[h + 1] = _mm256_shuffle_ps(t[h], t[h + 2], _MM_SHUFFLE(3, 2, 3, 2));
+    u[h + 2] = _mm256_shuffle_ps(t[h + 1], t[h + 3], _MM_SHUFFLE(1, 0, 1, 0));
+    u[h + 3] = _mm256_shuffle_ps(t[h + 1], t[h + 3], _MM_SHUFFLE(3, 2, 3, 2));
+  }
+  for (int64_t j = 0; j < 4; ++j) {
+    _mm256_storeu_ps(dst + j * dst_stride,
+                     _mm256_permute2f128_ps(u[j], u[j + 4], 0x20));
+    _mm256_storeu_ps(dst + (j + 4) * dst_stride,
+                     _mm256_permute2f128_ps(u[j], u[j + 4], 0x31));
+  }
+}
+
+void TransposeTileAvx2(const float* src, int64_t src_stride, float* dst,
+                       int64_t dst_stride, int64_t rows, int64_t cols) {
+  if (rows < 8 || cols < 8) {
+    ScalarKernels().transpose_tile(src, src_stride, dst, dst_stride, rows,
+                                   cols);
+    return;
+  }
+  // The last 8x8 block of each dimension ends at the tile's edge, so it
+  // overlaps the block before it and writes the same values again.
+  for (int64_t i = 0; i < rows; i += 8) {
+    const int64_t i0 = std::min(i, rows - 8);
+    for (int64_t j = 0; j < cols; j += 8) {
+      const int64_t j0 = std::min(j, cols - 8);
+      Transpose8x8(src + i0 * src_stride + j0, src_stride,
+                   dst + j0 * dst_stride + i0, dst_stride);
+    }
+  }
+}
+
+// Runs of 8 or more floats copy in vectors whose last one ends at the
+// run's end, overlapping the one before; runs of 4-7 use two overlapping
+// 4-float vectors, shorter runs a lane mask. No run goes through memcpy,
+// whose call costs more than a 5-float copy.
+void CopyRunsAvx2(const float* src, int64_t src_stride, float* dst,
+                  int64_t dst_stride, int64_t runs, int64_t n) {
+  const __m128i live = _mm_cmpgt_epi32(
+      _mm_set1_epi32(static_cast<int>(std::min<int64_t>(n, 4))),
+      _mm_setr_epi32(0, 1, 2, 3));
+  for (int64_t r = 0; r < runs; ++r) {
+    const float* from = src + r * src_stride;
+    float* to = dst + r * dst_stride;
+    if (n >= 8) {
+      for (int64_t j = 0; j < n - 8; j += 8) {
+        _mm256_storeu_ps(to + j, _mm256_loadu_ps(from + j));
+      }
+      _mm256_storeu_ps(to + n - 8, _mm256_loadu_ps(from + n - 8));
+    } else if (n >= 4) {
+      _mm_storeu_ps(to, _mm_loadu_ps(from));
+      _mm_storeu_ps(to + n - 4, _mm_loadu_ps(from + n - 4));
+    } else {
+      _mm_maskstore_ps(to, live, _mm_maskload_ps(from, live));
+    }
+  }
+}
+
+// Four outputs per vector: a row pair's eight inputs per window row split
+// into even (left) and odd (right) columns, and the window's four
+// elements are compared in row-major order with ordered greater-than
+// selects, exactly as the scalar loop does. A row narrower than four
+// outputs takes the scalar loop; a wider one ends with a vector that
+// overlaps the one before it.
+void MaxPool2x2Avx2(const float* x, int64_t planes, int64_t out_h,
+                    int64_t out_w, float* out, int64_t* argmax) {
+  const int64_t in_w = 2 * out_w;
+  if (out_w < 4) {
+    ScalarKernels().max_pool_2x2(x, planes, out_h, out_w, out, argmax);
+    return;
+  }
+  const __m128i right = _mm_set1_epi32(1);
+  const __m128i below = _mm_set1_epi32(static_cast<int>(in_w));
+  const __m128i below_right = _mm_set1_epi32(static_cast<int>(in_w + 1));
+  const __m256i window_step = _mm256_setr_epi64x(0, 2, 4, 6);
+  for (int64_t row = 0; row < planes * out_h; ++row) {
+    const float* top = x + 2 * row * in_w;
+    const float* bottom = top + in_w;
+    for (int64_t ow = 0;; ow += 4) {
+      const int64_t o = std::min(ow, out_w - 4);
+      const __m128 top_lo = _mm_loadu_ps(top + 2 * o);
+      const __m128 top_hi = _mm_loadu_ps(top + 2 * o + 4);
+      const __m128 bottom_lo = _mm_loadu_ps(bottom + 2 * o);
+      const __m128 bottom_hi = _mm_loadu_ps(bottom + 2 * o + 4);
+      __m128 best = _mm_shuffle_ps(top_lo, top_hi, _MM_SHUFFLE(2, 0, 2, 0));
+      __m128i offset = _mm_setzero_si128();
+      const __m128 candidates[3] = {
+          _mm_shuffle_ps(top_lo, top_hi, _MM_SHUFFLE(3, 1, 3, 1)),
+          _mm_shuffle_ps(bottom_lo, bottom_hi, _MM_SHUFFLE(2, 0, 2, 0)),
+          _mm_shuffle_ps(bottom_lo, bottom_hi, _MM_SHUFFLE(3, 1, 3, 1))};
+      const __m128i offsets[3] = {right, below, below_right};
+      for (int e = 0; e < 3; ++e) {
+        const __m128 greater = _mm_cmp_ps(candidates[e], best, _CMP_GT_OQ);
+        best = _mm_blendv_ps(best, candidates[e], greater);
+        offset = _mm_blendv_epi8(offset, offsets[e], _mm_castps_si128(greater));
+      }
+      _mm_storeu_ps(out + row * out_w + o, best);
+      const __m256i index = _mm256_add_epi64(
+          _mm256_cvtepi32_epi64(offset),
+          _mm256_add_epi64(_mm256_set1_epi64x(2 * row * in_w + 2 * o),
+                           window_step));
+      std::memcpy(argmax + row * out_w + o, &index, sizeof index);
+      if (o + 4 == out_w) break;
     }
   }
 }
@@ -356,8 +502,12 @@ const KernelTable& Avx2Kernels() {
       .scale = ScaleAvx2,
       .scale_assign = ScaleAssignAvx2,
       .sum_squares = SumSquaresAvx2,
+      .sum_squares4 = SumSquares4Avx2,
       .dot = DotAvx2,
       .matmul_row_block = MatmulRowBlockAvx2,
+      .transpose_tile = TransposeTileAvx2,
+      .copy_runs = CopyRunsAvx2,
+      .max_pool_2x2 = MaxPool2x2Avx2,
       .sqrt_array = SqrtArrayAvx2,
       .sincos = SinCosAvx2,
       .atan2 = Atan2Avx2,

@@ -5,6 +5,7 @@
 #ifndef GEODP_BASE_SIMD_KERNELS_IMPL_H_
 #define GEODP_BASE_SIMD_KERNELS_IMPL_H_
 
+#include <array>
 #include <cstdint>
 
 #include "base/rng.h"
@@ -21,9 +22,17 @@ struct KernelTable {
   void (*scale)(float*, float, int64_t);
   void (*scale_assign)(float*, const float*, float, int64_t);
   double (*sum_squares)(const float*, int64_t);
+  std::array<double, 4> (*sum_squares4)(const std::array<const float*, 4>&,
+                                         int64_t);
   double (*dot)(const float*, const float*, int64_t);
   void (*matmul_row_block)(const float*, const float*, float*, int64_t,
                            int64_t, int64_t, int64_t);
+  void (*transpose_tile)(const float*, int64_t, float*, int64_t, int64_t,
+                         int64_t);
+  void (*copy_runs)(const float*, int64_t, float*, int64_t, int64_t,
+                    int64_t);
+  void (*max_pool_2x2)(const float*, int64_t, int64_t, int64_t, float*,
+                       int64_t*);
   void (*sqrt_array)(const double*, double*, int64_t);
   void (*sincos)(const double*, double*, double*, int64_t);
   void (*atan2)(const double*, const double*, double*, int64_t);

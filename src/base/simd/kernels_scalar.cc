@@ -5,6 +5,7 @@
 // flags — no -mavx2/-mfma — so no FMA contraction can change roundings
 // relative to the historical code.
 
+#include <array>
 #include <cmath>
 #include <numbers>
 
@@ -38,6 +39,18 @@ double SumSquaresScalar(const float* x, int64_t n) {
   return sum_sq;
 }
 
+std::array<double, 4> SumSquares4Scalar(const std::array<const float*, 4>& x,
+                                        int64_t n) {
+  std::array<double, 4> sum_sq = {0.0, 0.0, 0.0, 0.0};
+  for (int64_t i = 0; i < n; ++i) {
+    for (size_t s = 0; s < 4; ++s) {
+      const double v = static_cast<double>(x[s][i]);
+      sum_sq[s] += v * v;
+    }
+  }
+  return sum_sq;
+}
+
 double DotScalar(const float* a, const float* b, int64_t n) {
   double sum = 0.0;
   for (int64_t i = 0; i < n; ++i) {
@@ -59,6 +72,46 @@ void MatmulRowBlockScalar(const float* a, const float* b, float* out,
         const float* brow = b + kk * n;
         for (int64_t j = 0; j < n; ++j) orow[j] += aik * brow[j];
       }
+    }
+  }
+}
+
+void TransposeTileScalar(const float* src, int64_t src_stride, float* dst,
+                         int64_t dst_stride, int64_t rows, int64_t cols) {
+  for (int64_t j = 0; j < cols; ++j) {
+    for (int64_t i = 0; i < rows; ++i) {
+      dst[j * dst_stride + i] = src[i * src_stride + j];
+    }
+  }
+}
+
+void CopyRunsScalar(const float* src, int64_t src_stride, float* dst,
+                    int64_t dst_stride, int64_t runs, int64_t n) {
+  for (int64_t r = 0; r < runs; ++r) {
+    const float* from = src + r * src_stride;
+    float* to = dst + r * dst_stride;
+    for (int64_t j = 0; j < n; ++j) to[j] = from[j];
+  }
+}
+
+void MaxPool2x2Scalar(const float* x, int64_t planes, int64_t out_h,
+                      int64_t out_w, float* out, int64_t* argmax) {
+  const int64_t in_w = 2 * out_w;
+  for (int64_t row = 0; row < planes * out_h; ++row) {
+    for (int64_t ow = 0; ow < out_w; ++ow) {
+      // Selects, not branches: on sign-random activations which element
+      // wins is a coin flip.
+      const int64_t first = 2 * row * in_w + 2 * ow;
+      int64_t best_index = first;
+      float best = x[first];
+      for (const int64_t offset : {int64_t{1}, in_w, in_w + 1}) {
+        const int64_t xi = first + offset;
+        const bool greater = x[xi] > best;
+        best = greater ? x[xi] : best;
+        best_index = greater ? xi : best_index;
+      }
+      out[row * out_w + ow] = best;
+      argmax[row * out_w + ow] = best_index;
     }
   }
 }
@@ -108,8 +161,12 @@ const KernelTable& ScalarKernels() {
       .scale = ScaleScalar,
       .scale_assign = ScaleAssignScalar,
       .sum_squares = SumSquaresScalar,
+      .sum_squares4 = SumSquares4Scalar,
       .dot = DotScalar,
       .matmul_row_block = MatmulRowBlockScalar,
+      .transpose_tile = TransposeTileScalar,
+      .copy_runs = CopyRunsScalar,
+      .max_pool_2x2 = MaxPool2x2Scalar,
       .sqrt_array = SqrtArrayScalar,
       .sincos = SinCosScalar,
       .atan2 = Atan2Scalar,

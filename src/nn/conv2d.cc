@@ -22,7 +22,10 @@ Conv2d::Conv2d(int64_t in_channels, int64_t out_channels, int64_t kernel_size,
               KaimingUniform({out_channels, in_channels, kernel_size,
                               kernel_size},
                              in_channels * kernel_size * kernel_size, rng)),
-      bias_("bias", Tensor::Zeros({out_channels})) {
+      bias_("bias", Tensor::Zeros({out_channels})),
+      weight_t_({in_channels * kernel_size * kernel_size, out_channels}),
+      weight_grad_matrix_(
+          {out_channels, in_channels * kernel_size * kernel_size}) {
   GEODP_CHECK_GT(in_channels_, 0);
   GEODP_CHECK_GT(out_channels_, 0);
   GEODP_CHECK_GT(kernel_size_, 0);
@@ -105,9 +108,9 @@ Tensor Conv2d::BackwardIm2Col(const Tensor& grad_output, bool input_grad) {
   const int64_t kk = in_channels_ * kernel_size_ * kernel_size_;
   const int64_t spatial = out_h * out_w;
   const int64_t image_size = in_channels_ * in_h * in_w;
-  const Tensor weight_t =
-      input_grad ? Transpose(weight_.value.Reshape({out_channels_, kk}))
-                 : Tensor();
+  if (input_grad) {
+    TransposeInto(weight_.value.data(), out_channels_, kk, weight_t_.data());
+  }
   if (columns_t_.numel() != spatial * kk) columns_t_ = Tensor({spatial, kk});
   if (product_.numel() != out_channels_ * kk) {
     product_ = Tensor({out_channels_, kk});
@@ -115,7 +118,7 @@ Tensor Conv2d::BackwardIm2Col(const Tensor& grad_output, bool input_grad) {
   if (input_grad && columns_.numel() != kk * spatial) {
     columns_ = Tensor({kk, spatial});
   }
-  Tensor weight_grad_matrix({out_channels_, kk});
+  weight_grad_matrix_.Fill(0.0f);
   Tensor grad_input = input_grad ? Tensor(input.shape()) : Tensor();
 
   for (int64_t b = 0; b < batch; ++b) {
@@ -127,11 +130,11 @@ Tensor Conv2d::BackwardIm2Col(const Tensor& grad_output, bool input_grad) {
     product_.Fill(0.0f);
     MatmulInto(gy, columns_t_.data(), product_.data(), out_channels_, spatial,
                kk);
-    weight_grad_matrix.AddInPlace(product_);
+    weight_grad_matrix_.AddInPlace(product_);
     if (input_grad) {
       // dX_cols = W^T @ dY, folded onto sample b's zeroed input gradient.
       columns_.Fill(0.0f);
-      MatmulInto(weight_t.data(), gy, columns_.data(), kk, out_channels_,
+      MatmulInto(weight_t_.data(), gy, columns_.data(), kk, out_channels_,
                  spatial);
       Col2ImInto(columns_.data(), in_channels_, in_h, in_w, kernel_size_,
                  padding_, grad_input.data() + b * image_size);
@@ -145,8 +148,8 @@ Tensor Conv2d::BackwardIm2Col(const Tensor& grad_output, bool input_grad) {
       }
     }
   }
-  weight_.grad.AddInPlace(
-      weight_grad_matrix.Reshape(weight_.value.shape()));
+  simd::Add(weight_.grad.data(), weight_grad_matrix_.data(),
+            weight_grad_matrix_.numel());
   return grad_input;
 }
 
@@ -261,9 +264,9 @@ Tensor Conv2d::GhostPass(
   const int64_t kk = in_channels_ * kernel_size_ * kernel_size_;
   const int64_t spatial = out_h * out_w;
   const int64_t image_size = in_channels_ * in_h * in_w;
-  const Tensor weight_t =
-      input_grad ? Transpose(weight_.value.Reshape({out_channels_, kk}))
-                 : Tensor();  // [kk, OC]
+  if (input_grad) {
+    TransposeInto(weight_.value.data(), out_channels_, kk, weight_t_.data());
+  }
   Tensor grad_input = input_grad ? Tensor(input.shape()) : Tensor();
   cached_grad_output_ = grad_output;
   if (cached_columns_t_.numel() != batch * spatial * kk) {
@@ -310,7 +313,7 @@ Tensor Conv2d::GhostPass(
     // gradients are touched in this pass).
     if (!input_grad) continue;
     std::fill(grad_cols.data(), grad_cols.data() + kk * spatial, 0.0f);
-    simd::MatmulRowBlock(weight_t.data(), gy, grad_cols.data(), 0, kk,
+    simd::MatmulRowBlock(weight_t_.data(), gy, grad_cols.data(), 0, kk,
                          out_channels_, spatial);
     Col2ImInto(grad_cols.data(), in_channels_, in_h, in_w, kernel_size_,
                padding_, grad_input.data() + b * image_size);
@@ -329,7 +332,7 @@ void Conv2d::GhostAccumulate(const std::vector<double>& weights) {
   const int64_t kk = in_channels_ * kernel_size_ * kernel_size_;
   const int64_t spatial = out_h * out_w;
   GEODP_CHECK_EQ(cached_columns_t_.numel(), batch * spatial * kk);
-  Tensor weight_grad_matrix({out_channels_, kk});
+  weight_grad_matrix_.Fill(0.0f);
   Tensor sample_grad({out_channels_, kk});  // geodp: per-sample (transient)
 
   for (int64_t b = 0; b < batch; ++b) {
@@ -348,7 +351,7 @@ void Conv2d::GhostAccumulate(const std::vector<double>& weights) {
     simd::MatmulRowBlock(gy, cols_t,
                          sample_grad.data(),  // geodp: per-sample
                          0, out_channels_, spatial, kk);
-    simd::ClipAxpy(weight_grad_matrix.data(),
+    simd::ClipAxpy(weight_grad_matrix_.data(),
                    sample_grad.data(),  // geodp: per-sample
                    static_cast<float>(scale), out_channels_ * kk);
     if (with_bias_) {
@@ -360,7 +363,8 @@ void Conv2d::GhostAccumulate(const std::vector<double>& weights) {
       }
     }
   }
-  weight_.grad.AddInPlace(weight_grad_matrix.Reshape(weight_.value.shape()));
+  simd::Add(weight_.grad.data(), weight_grad_matrix_.data(),
+            weight_grad_matrix_.numel());
 }
 
 std::vector<Parameter*> Conv2d::Parameters() {

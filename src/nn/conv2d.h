@@ -81,6 +81,11 @@ class Conv2d : public Layer {
   Tensor columns_;
   Tensor columns_t_;
   Tensor product_;
+  // Per-call scratch of the im2col and ghost backward passes: W^T
+  // [IC*K*K, OC] and the batch's weight gradient [OC, IC*K*K] before it
+  // joins the parameter's.
+  Tensor weight_t_;
+  Tensor weight_grad_matrix_;
   Tensor cached_grad_output_;  // set by GhostBackward for GhostAccumulate
   // Per-sample unfolded input, stored transposed ([B, OH*OW, IC*K*K]) so
   // both ghost passes feed sample b's gy_b [OC, OH*OW] straight into the

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "base/check.h"
+#include "base/simd/kernels.h"
 
 namespace geodp {
 
@@ -26,46 +27,44 @@ Tensor Im2Col(const Tensor& image, int64_t kernel_size, int64_t padding) {
 
 namespace {
 
-// Both unfolds are one template over the kernel size: kK > 0 fixes it at
-// compile time (every model in src/models/ uses 3x3 kernels, whose K-wide
-// runs then unroll), kK == 0 reads it from `kernel_size`. Each output
-// element is either a copy of one image element or the padding's +0, so
-// the unfold is exact on every instance.
+// Each output element is either a copy of one image element or the
+// padding's +0, so both unfolds are exact.
 
-template <int64_t kK>
+// One column-matrix row per (c, kh, kw), an [OH, OW] block: its output
+// row oh reads image row oh + kh - padding at columns ow + kw - padding.
+// Those lie inside the image for oh in [oh_lo, oh_hi) and ow in
+// [ow_lo, ow_hi), one strided run per output row; with padding, the block
+// is zeroed first.
 void Im2ColRows(const float* image, int64_t channels, int64_t height,
-                int64_t width, int64_t kernel_size, int64_t padding,
-                float* columns) {
-  const int64_t k = kK > 0 ? kK : kernel_size;
+                int64_t width, int64_t k, int64_t padding, float* columns) {
   const int64_t out_h = height + 2 * padding - k + 1;
   const int64_t out_w = width + 2 * padding - k + 1;
+  const int64_t spatial = out_h * out_w;
   float* dst = columns;
-  // One column-matrix row per (c, kh, kw); its output row oh reads image
-  // row oh + kh - padding at columns ow + kw - padding, which lie inside
-  // the image for ow in [ow_lo, ow_hi).
   for (int64_t c = 0; c < channels; ++c) {
     for (int64_t kh = 0; kh < k; ++kh) {
-      for (int64_t kw = 0; kw < k; ++kw) {
+      const int64_t oh_lo = std::clamp<int64_t>(padding - kh, 0, out_h);
+      const int64_t oh_hi =
+          std::clamp<int64_t>(height + padding - kh, oh_lo, out_h);
+      for (int64_t kw = 0; kw < k; ++kw, dst += spatial) {
         const int64_t ow_lo = std::clamp<int64_t>(padding - kw, 0, out_w);
         const int64_t ow_hi =
             std::clamp<int64_t>(width + padding - kw, ow_lo, out_w);
-        for (int64_t oh = 0; oh < out_h; ++oh, dst += out_w) {
-          const int64_t ih = oh + kh - padding;
-          if (ih < 0 || ih >= height) {
-            for (int64_t ow = 0; ow < out_w; ++ow) dst[ow] = 0.0f;
-            continue;
-          }
-          const float* src = image + (c * height + ih) * width;
-          const int64_t shift = kw - padding;
-          for (int64_t ow = 0; ow < ow_lo; ++ow) dst[ow] = 0.0f;
-          for (int64_t ow = ow_lo; ow < ow_hi; ++ow) dst[ow] = src[ow + shift];
-          for (int64_t ow = ow_hi; ow < out_w; ++ow) dst[ow] = 0.0f;
-        }
+        if (padding > 0) std::fill(dst, dst + spatial, 0.0f);
+        if (oh_lo == oh_hi || ow_lo == ow_hi) continue;
+        const float* src =
+            image + (c * height + oh_lo + kh - padding) * width + ow_lo +
+            kw - padding;
+        simd::CopyRuns(src, width, dst + oh_lo * out_w + ow_lo, out_w,
+                       oh_hi - oh_lo, ow_hi - ow_lo);
       }
     }
   }
 }
 
+// Im2ColTransposedRows is one template over the kernel size: kK > 0 fixes
+// it at compile time (every model in src/models/ uses 3x3 kernels, whose
+// K-wide runs then unroll), kK == 0 reads it from `kernel_size`.
 template <int64_t kK>
 void Im2ColTransposedRows(const float* image, int64_t channels,
                           int64_t height, int64_t width, int64_t kernel_size,
@@ -111,8 +110,7 @@ void Im2ColTransposedRows(const float* image, int64_t channels,
 void Im2ColInto(const float* image, int64_t channels, int64_t height,
                 int64_t width, int64_t kernel_size, int64_t padding,
                 float* columns) {
-  (kernel_size == 3 ? Im2ColRows<3> : Im2ColRows<0>)(
-      image, channels, height, width, kernel_size, padding, columns);
+  Im2ColRows(image, channels, height, width, kernel_size, padding, columns);
 }
 
 void Im2ColTransposedInto(const float* image, int64_t channels,

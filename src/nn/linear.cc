@@ -16,7 +16,9 @@ Linear::Linear(int64_t in_features, int64_t out_features, Rng& rng,
       with_bias_(with_bias),
       weight_("weight",
               KaimingUniform({out_features, in_features}, in_features, rng)),
-      bias_("bias", Tensor::Zeros({out_features})) {
+      bias_("bias", Tensor::Zeros({out_features})),
+      weight_t_({in_features, out_features}),
+      weight_product_({out_features, in_features}) {
   GEODP_CHECK_GT(in_features_, 0);
   GEODP_CHECK_GT(out_features_, 0);
 }
@@ -27,7 +29,9 @@ Tensor Linear::Forward(const Tensor& input) {
   cached_input_ = input;
   const int64_t batch = input.dim(0);
   // y[b, o] = sum_i x[b, i] * W[o, i] + bias[o]
-  Tensor output = Matmul(input, Transpose(weight_.value));
+  TransposeInto(weight_.value.data(), out_features_, in_features_,
+                weight_t_.data());
+  Tensor output = Matmul(input, weight_t_);
   if (with_bias_) {
     for (int64_t b = 0; b < batch; ++b) {
       for (int64_t o = 0; o < out_features_; ++o) {
@@ -66,8 +70,7 @@ void Linear::AccumulateGradients(const Tensor& grad_output) {
   GEODP_CHECK_EQ(grad_output.dim(0), cached_input_.dim(0));
   GEODP_CHECK_EQ(grad_output.dim(1), out_features_);
   const int64_t batch = grad_output.dim(0);
-  // dW[o, i] += sum_b dy[b, o] * x[b, i]
-  weight_.grad.AddInPlace(Matmul(Transpose(grad_output), cached_input_));
+  AddWeightGradient(grad_output);
   if (with_bias_) {
     for (int64_t b = 0; b < batch; ++b) {
       for (int64_t o = 0; o < out_features_; ++o) {
@@ -75,6 +78,22 @@ void Linear::AccumulateGradients(const Tensor& grad_output) {
       }
     }
   }
+}
+
+void Linear::AddWeightGradient(const Tensor& grad_output) {
+  // dW[o, i] += sum_b dy[b, o] * x[b, i], formed in scratch and then
+  // added, so the product rounds on its own before joining the gradient.
+  const int64_t batch = grad_output.dim(0);
+  if (grad_output_t_.numel() != batch * out_features_) {
+    grad_output_t_ = Tensor({out_features_, batch});
+  }
+  TransposeInto(grad_output.data(), batch, out_features_,
+                grad_output_t_.data());
+  weight_product_.Fill(0.0f);
+  MatmulInto(grad_output_t_.data(), cached_input_.data(),
+             weight_product_.data(), out_features_, batch, in_features_);
+  simd::Add(weight_.grad.data(), weight_product_.data(),
+            weight_product_.numel());
 }
 
 void Linear::AddGhostNorms(
@@ -122,7 +141,7 @@ void Linear::GhostAccumulate(const std::vector<double>& weights) {
           out_features_);
     }
   }
-  weight_.grad.AddInPlace(Matmul(Transpose(scaled), cached_input_));
+  AddWeightGradient(scaled);
   if (with_bias_) {
     for (int64_t b = 0; b < batch; ++b) {
       for (int64_t o = 0; o < out_features_; ++o) {

@@ -46,6 +46,8 @@ class Linear : public Layer {
  private:
   // Backward and GhostBackward without the input gradient.
   void AccumulateGradients(const Tensor& grad_output);
+  // weight grad += grad_output^T · cached input.
+  void AddWeightGradient(const Tensor& grad_output);
   void AddGhostNorms(
       const Tensor& grad_output,
       std::vector<double>& ghost_norm_sq);  // geodp: per-sample norms out
@@ -57,6 +59,11 @@ class Linear : public Layer {
   Parameter bias_;
   Tensor cached_input_;
   Tensor cached_grad_output_;  // set by GhostBackward for GhostAccumulate
+  // Scratch reused across calls: W^T for the forward product, and the
+  // transposed output gradient and product of the weight gradient.
+  Tensor weight_t_;
+  Tensor grad_output_t_;
+  Tensor weight_product_;
 };
 
 }  // namespace geodp

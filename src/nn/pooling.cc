@@ -1,6 +1,7 @@
 #include "nn/pooling.h"
 
 #include "base/check.h"
+#include "base/simd/kernels.h"
 
 namespace geodp {
 
@@ -18,10 +19,14 @@ Tensor MaxPool2d::Forward(const Tensor& input) {
 
   input_shape_ = input.shape();
   Tensor output({batch, channels, out_h, out_w});
-  argmax_.assign(static_cast<size_t>(output.numel()), 0);
+  argmax_.resize(static_cast<size_t>(output.numel()));
 
   const float* x = input.data();
   float* y = output.data();
+  if (window_ == 2) {
+    simd::MaxPool2x2(x, batch * channels, out_h, out_w, y, argmax_.data());
+    return output;
+  }
   int64_t out_index = 0;
   for (int64_t b = 0; b < batch; ++b) {
     for (int64_t c = 0; c < channels; ++c) {

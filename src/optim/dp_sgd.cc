@@ -1,9 +1,11 @@
 #include "optim/dp_sgd.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "base/check.h"
+#include "base/simd/kernels.h"
 #include "base/thread_pool.h"
 #include "nn/parameter.h"
 #include "obs/trace.h"
@@ -43,52 +45,64 @@ PrivateBatchGradient ComputePerSampleGradients(
 
   // The loop allocates no per-sample staging: each image is copied into
   // one reused [1, ...image shape] input, and each gradient is flattened
-  // into a block slot recycled across pipeline blocks. Slots [0, filled) hold
-  // the block's finite samples; a non-finite sample's slot is overwritten
-  // by the next sample.
+  // into a block slot recycled across pipeline blocks.
   const Tensor& first_image = dataset.image(indices.front());
   std::vector<int64_t> input_shape = first_image.shape();
   input_shape.insert(input_shape.begin(), 1);
   Tensor x(input_shape);
   std::vector<int64_t> y(1);
+  const size_t block_capacity = std::min(kPipelineBlock, indices.size());
   std::vector<Tensor> block;
-  block.reserve(std::min(kPipelineBlock, indices.size()));
+  block.reserve(block_capacity);
+  std::vector<double> block_losses(block_capacity);
   std::vector<double> block_norms;  // geodp: per-sample norms for the clip
-  block_norms.reserve(block.capacity());
   int64_t finite_samples = 0;
-  size_t pos = 0;
-  while (pos < indices.size()) {
-    const size_t block_end =
-        std::min(pos + kPipelineBlock, indices.size());
+  for (size_t pos = 0; pos < indices.size(); pos += kPipelineBlock) {
+    const size_t count = std::min(kPipelineBlock, indices.size() - pos);
+    block_norms.resize(count);  // geodp: per-sample
     size_t filled = 0;
     {
       const TraceSpan span("step.forward_backward");
-      for (; pos < block_end; ++pos) {
-        const int64_t index = indices[pos];
+      for (size_t slot = 0; slot < count; ++slot) {
+        const int64_t index = indices[pos + slot];
         ZeroGradients(params);
         const Tensor& image = dataset.image(index);
         std::copy_n(image.data(), image.numel(), x.data());
         y[0] = dataset.label(index);
-        const double sample_loss = loss.Forward(model.Forward(x), y);
+        block_losses[slot] = loss.Forward(model.Forward(x), y);
         model.BackwardParameters(loss.Backward(), nullptr);
-        if (filled == block.size()) block.emplace_back(Tensor({flat_dim}));
-        Tensor& grad = block[filled];
-        float* flat = grad.data();
+        if (slot == block.size()) block.emplace_back(Tensor({flat_dim}));
+        float* flat = block[slot].data();
         for (const Parameter* p : params) {
           flat = std::copy_n(p->grad.data(), p->grad.numel(), flat);
         }
-        // Any non-finite gradient element makes the L2 norm non-finite,
-        // so one norm (a pass the clipper needs anyway, orders of
-        // magnitude cheaper than the backward pass) detects NaN/Inf
-        // poisoning. Such samples are dropped from the averages; the
-        // model stays finite and training degrades gracefully instead of
-        // diverging.
-        const double norm = grad.L2Norm();
-        const bool finite =
-            std::isfinite(sample_loss) && std::isfinite(norm);
-        if (finite) {
+      }
+      // Any non-finite gradient element makes the L2 norm non-finite, so
+      // the norms (a pass the clipper needs anyway) detect NaN/Inf
+      // poisoning. They run four samples at a time: four independent
+      // chains, each with the bits of Tensor::L2Norm. A short last group
+      // repeats the block's last sample and ignores the extra norms.
+      for (size_t slot = 0; slot < count; slot += 4) {
+        std::array<const float*, 4> group;
+        for (size_t s = 0; s < 4; ++s) {
+          group[s] = block[std::min(slot + s, count - 1)].data();
+        }
+        const std::array<double, 4> sum_sq =
+            simd::SumSquares4(group, flat_dim);
+        for (size_t s = 0; s < 4 && slot + s < count; ++s) {
+          block_norms[slot + s] = std::sqrt(sum_sq[s]);  // geodp: per-sample
+        }
+      }
+      // Non-finite samples are dropped from the averages; the model stays
+      // finite and training degrades gracefully instead of diverging. The
+      // finite ones move to the front of the block in batch order.
+      for (size_t slot = 0; slot < count; ++slot) {
+        const double norm = block_norms[slot];  // geodp: per-sample
+        const double sample_loss = block_losses[slot];
+        if (std::isfinite(sample_loss) && std::isfinite(norm)) {
+          std::swap(block[filled], block[slot]);
+          block_norms[filled] = norm;  // geodp: per-sample
           ++filled;
-          block_norms.push_back(norm);  // geodp: per-sample
           result.mean_loss += sample_loss;
           ++finite_samples;
         } else {
@@ -99,14 +113,14 @@ PrivateBatchGradient ComputePerSampleGradients(
         result.sample_losses.push_back(sample_loss);
       }
     }
-    // Slots past the finite samples (a partial last block, or a dropped
-    // sample's slot) leave the block; the next block reallocates them.
+    // Slots past the finite samples (a partial last block, or dropped
+    // samples) leave the block; the next block reallocates them.
     block.resize(filled);
+    block_norms.resize(filled);  // geodp: per-sample
     const TraceSpan span("step.clip_accumulate");
     AccumulateClipped(block, clipper, result.averaged_clipped,
                       &block_norms);  // geodp: per-sample
     if (for_step_record) AccumulateSum(block, result.averaged_raw);
-    block_norms.clear();  // geodp: per-sample
   }
   ZeroGradients(params);
 

@@ -71,6 +71,13 @@ void MatmulInto(const float* a, const float* b, float* out, int64_t m,
   // Rows are independent, so parallelizing over row blocks is exact; the
   // kernel keeps k in increasing order within each output element, so the
   // accumulation association is fixed by the kernel, not the thread count.
+  // Rows that fit in one chunk, or a pool of one thread, would run
+  // serially anyway: the kernel then takes all rows in one call, without
+  // the pool's dispatch.
+  if (m <= kMatmulRowGrain || GetGlobalThreadCount() == 1) {
+    simd::MatmulRowBlock(a, b, out, 0, m, k, n);
+    return;
+  }
   ParallelFor(0, m, kMatmulRowGrain, [&](int64_t row_begin, int64_t row_end) {
     simd::MatmulRowBlock(a, b, out, row_begin, row_end, k, n);
   });
@@ -80,18 +87,18 @@ Tensor Transpose(const Tensor& a) {
   GEODP_CHECK_EQ(a.ndim(), 2);
   const int64_t m = a.dim(0), n = a.dim(1);
   Tensor out({n, m});
-  const float* src = a.data();
-  float* dst = out.data();
+  TransposeInto(a.data(), m, n, out.data());
+  return out;
+}
+
+void TransposeInto(const float* src, int64_t m, int64_t n, float* dst) {
   for (int64_t j0 = 0; j0 < n; j0 += kTransposeBlock) {
-    const int64_t j1 = std::min(j0 + kTransposeBlock, n);
+    const int64_t cols = std::min(kTransposeBlock, n - j0);
     for (int64_t i0 = 0; i0 < m; i0 += kTransposeBlock) {
-      const int64_t i1 = std::min(i0 + kTransposeBlock, m);
-      for (int64_t j = j0; j < j1; ++j) {
-        for (int64_t i = i0; i < i1; ++i) dst[j * m + i] = src[i * n + j];
-      }
+      simd::TransposeTile(src + i0 * n + j0, n, dst + j0 * m + i0, m,
+                          std::min(kTransposeBlock, m - i0), cols);
     }
   }
-  return out;
 }
 
 std::vector<int64_t> ArgMaxRows(const Tensor& a) {

@@ -38,6 +38,10 @@ void MatmulInto(const float* a, const float* b, float* out, int64_t m,
 /// Transpose of a 2-D tensor.
 Tensor Transpose(const Tensor& a);
 
+/// Transpose on raw row-major buffers: dst [n, m] = src [m, n]^T. Same
+/// bits as Transpose, for callers that reuse their own output buffer.
+void TransposeInto(const float* src, int64_t m, int64_t n, float* dst);
+
 /// Index of the maximum element in each row of a [m, n] tensor.
 std::vector<int64_t> ArgMaxRows(const Tensor& a);
 

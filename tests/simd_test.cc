@@ -15,12 +15,14 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <limits>
 #include <memory>
 #include <numbers>
+#include <utility>
 #include <vector>
 
 #include "base/rng.h"
@@ -218,6 +220,100 @@ TEST_F(SimdKernelTest, SumSquaresAndDotMatchDoubleReference) {
         EXPECT_NEAR(dot, ref_dot, 1e-12 * (1.0 + std::abs(ref_dot)))
             << "n=" << n;
       }
+    });
+  }
+}
+
+bool SameBits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+TEST_F(SimdKernelTest, SumSquares4IsFourSumSquaresCallsBitForBit) {
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  // n mod 4 takes every value, below and above one vector. Array 1 holds
+  // specials (a NaN, an infinity, -0, a denormal, a square that
+  // overflows float but not double), array 3 an infinity only, so the
+  // four chains end finite, NaN, finite and infinite.
+  for (int64_t n : {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 33, 3730}) {
+    std::vector<std::vector<float>> x;
+    for (uint64_t s = 0; s < 4; ++s) {
+      x.push_back(RandnF32(n, 11000 + 10 * s + static_cast<uint64_t>(n)));
+    }
+    const float specials[] = {nan, kInf, -0.0f, 1e-40f, 3e38f};
+    for (int64_t i = 0; i < n; ++i) {
+      if (i % 3 == 1) x[1][static_cast<size_t>(i)] = specials[i % 5];
+    }
+    if (n > 0) x[3][static_cast<size_t>(n - 1)] = -kInf;
+    ForEachTier([&](SimdTier) {
+      const std::array<double, 4> got =
+          simd::SumSquares4({x[0].data(), x[1].data(), x[2].data(),
+                             x[3].data()},
+                            n);
+      for (size_t s = 0; s < 4; ++s) {
+        const double want = simd::SumSquares(x[s].data(), n);
+        EXPECT_TRUE(SameBits(got[s], want))
+            << "n=" << n << " array " << s << ": " << got[s] << " vs "
+            << want;
+      }
+    });
+  }
+}
+
+TEST_F(SimdKernelTest, CopyRunsCopiesExactlyTheRunsOnEveryTier) {
+  // Run lengths around both vector widths; destination rows longer than
+  // the runs, so a vector that strays past a run's end overwrites the
+  // sentinel after it. Bits are copied as they are: -0 and a NaN payload.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  for (int64_t n = 0; n <= 17; ++n) {
+    for (int64_t runs : {0, 1, 3}) {
+      const int64_t src_stride = n + 2, dst_stride = n + 5;
+      std::vector<float> src =
+          RandnF32(3 * src_stride, 12000 + static_cast<uint64_t>(n));
+      if (n > 1) src[1] = -0.0f;
+      if (n > 2) src[static_cast<size_t>(src_stride + 2)] = -nan;
+      std::vector<float> want(static_cast<size_t>(runs * dst_stride + 3),
+                              -7.0f);
+      for (int64_t r = 0; r < runs; ++r) {
+        for (int64_t j = 0; j < n; ++j) {
+          want[static_cast<size_t>(1 + r * dst_stride + j)] =
+              src[static_cast<size_t>(r * src_stride + j)];
+        }
+      }
+      ForEachTier([&](SimdTier) {
+        std::vector<float> got(want.size(), -7.0f);
+        simd::CopyRuns(src.data(), src_stride, got.data() + 1, dst_stride,
+                       runs, n);
+        EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                              want.size() * sizeof(float)),
+                  0)
+            << "n=" << n << " runs=" << runs;
+      });
+    }
+  }
+}
+
+TEST_F(SimdKernelTest, TransposeTileWritesOnlyItsTileOnEveryTier) {
+  // Tiles below, at and past the 8x8 register block, inside larger
+  // strided matrices whose other elements must keep their sentinel.
+  const std::pair<int64_t, int64_t> tiles[] = {
+      {1, 1}, {3, 9}, {9, 3}, {7, 7}, {8, 8}, {9, 8}, {8, 9},
+      {10, 32}, {12, 22}, {31, 17}, {32, 32}};
+  for (const auto& [rows, cols] : tiles) {
+    const int64_t src_stride = cols + 3, dst_stride = rows + 5;
+    std::vector<float> src(static_cast<size_t>(rows * src_stride));
+    for (size_t i = 0; i < src.size(); ++i) src[i] = static_cast<float>(i);
+    std::vector<float> want(static_cast<size_t>(cols * dst_stride), -1.0f);
+    for (int64_t i = 0; i < rows; ++i) {
+      for (int64_t j = 0; j < cols; ++j) {
+        want[static_cast<size_t>(j * dst_stride + i)] =
+            src[static_cast<size_t>(i * src_stride + j)];
+      }
+    }
+    ForEachTier([&](SimdTier) {
+      std::vector<float> got(want.size(), -1.0f);
+      simd::TransposeTile(src.data(), src_stride, got.data(), dst_stride,
+                          rows, cols);
+      EXPECT_EQ(MaxAbsDiffSpan(got, want), 0.0)
+          << rows << "x" << cols;
     });
   }
 }
