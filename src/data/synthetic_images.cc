@@ -57,10 +57,12 @@ Tensor ShiftedCopy(const Tensor& proto, int64_t dy, int64_t dx, float amp) {
     for (int64_t y = 0; y < height; ++y) {
       const int64_t sy = y - dy;
       if (sy < 0 || sy >= height) continue;
+      const float* src = proto.data() + (c * height + sy) * width;
+      float* dst = out.data() + (c * height + y) * width;
       for (int64_t x = 0; x < width; ++x) {
         const int64_t sx = x - dx;
         if (sx < 0 || sx >= width) continue;
-        out.at({c, y, x}) = amp * proto.at({c, sy, sx});
+        dst[x] = amp * src[sx];
       }
     }
   }

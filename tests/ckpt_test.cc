@@ -49,6 +49,28 @@ TEST(Crc32Test, KnownVectors) {
   EXPECT_EQ(Crc32(hello.data(), hello.size()), 0x0D4A1185u);
 }
 
+TEST(Crc32Test, MatchesTheBytewiseDefinitionAtEveryLengthAndOffset) {
+  // Lengths around the eight-byte step at every start offset, against
+  // the one-bit-at-a-time definition of the reflected polynomial.
+  std::vector<unsigned char> bytes(64 + 8);
+  for (size_t i = 0; i < bytes.size(); ++i) {
+    bytes[i] = static_cast<unsigned char>(i * 131 + 7);
+  }
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t size = 0; size <= 64; ++size) {
+      uint32_t state = 0xFFFFFFFFu;
+      for (size_t i = offset; i < offset + size; ++i) {
+        state ^= bytes[i];
+        for (int bit = 0; bit < 8; ++bit) {
+          state = (state & 1u) ? (0xEDB88320u ^ (state >> 1)) : (state >> 1);
+        }
+      }
+      EXPECT_EQ(Crc32(bytes.data() + offset, size), state ^ 0xFFFFFFFFu)
+          << "offset " << offset << ", size " << size;
+    }
+  }
+}
+
 TEST(ByteIoTest, RoundTripsAllTypes) {
   ByteWriter w;
   w.WriteU8(200);
