@@ -70,6 +70,13 @@ void CopyRuns(const float* src, int64_t src_stride, float* dst,
   ActiveKernels().copy_runs(src, src_stride, dst, dst_stride, runs, n);
 }
 
+void Col2Im(const float* columns, int64_t channels, int64_t height,
+            int64_t width, int64_t kernel_size, int64_t padding,
+            float* image) {
+  ActiveKernels().col2im(columns, channels, height, width, kernel_size,
+                         padding, image);
+}
+
 void MaxPool2x2(const float* x, int64_t planes, int64_t out_h,
                 int64_t out_w, float* out, int64_t* argmax) {
   ActiveKernels().max_pool_2x2(x, planes, out_h, out_w, out, argmax);

@@ -61,11 +61,11 @@ std::array<double, 4> SumSquares4(const std::array<const float*, 4>& x,
 /// Dot product accumulated in double precision.
 double Dot(const float* a, const float* b, int64_t n);
 
-/// Rows [row_begin, row_end) of out += a · b for row-major a [m, k] and
-/// b [k, n]; out rows must be zero on entry. Tiles the k dimension so the
-/// active slice of b stays cache-resident while a row block accumulates,
-/// and keeps k in increasing order within a row so the accumulation
-/// association is fixed by the tile structure, not the thread count.
+/// Rows [row_begin, row_end) of out = a · b for row-major a [m, k] and
+/// b [k, n]; the old contents of those rows are never read. Each element
+/// is the chain of products accumulated onto +0 with k increasing, so the
+/// association is fixed by the kernel, not by the thread count; the k
+/// dimension is tiled so the active slice of b stays cache-resident.
 void MatmulRowBlock(const float* a, const float* b, float* out,
                     int64_t row_begin, int64_t row_end, int64_t k, int64_t n);
 
@@ -80,6 +80,14 @@ void TransposeTile(const float* src, int64_t src_stride, float* dst,
 /// overlaps the one before it instead of taking a scalar tail.
 void CopyRuns(const float* src, int64_t src_stride, float* dst,
               int64_t dst_stride, int64_t runs, int64_t n);
+
+/// Folds columns [C*K*K, OH*OW], a stride-1 KxK unfold with symmetric zero
+/// padding, back onto image [C, H, W] (the nn/im2col.h Col2ImInto
+/// contract): each image element receives its in-bounds contributions one
+/// rounded add at a time, in (kh, kw) order. Identical on every tier.
+void Col2Im(const float* columns, int64_t channels, int64_t height,
+            int64_t width, int64_t kernel_size, int64_t padding,
+            float* image);
 
 /// Non-overlapping 2x2 max pooling of `planes` contiguous planes of
 /// [2 * out_h, 2 * out_w] floats into [planes, out_h, out_w]. Each window

@@ -135,24 +135,23 @@ __m256i FirstLanes(int64_t live) {
                             _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
 }
 
-// out[i0, i0 + R) x [j0, j0 + 8V) += a · b over the whole k loop, with the
-// R x V accumulators in registers. The last vector reads and writes only
-// its first `last_lanes` lanes. Each element is the same k-ordered FMA
-// chain as the row loop below. A zero a must add nothing, even over a NaN
-// or infinite b; instead of a branch, which mispredicts on sign-random
-// activations, the product becomes (-0) * (+0), and x + (-0) == x for
-// every x. No vector argument is passed: GCC omits the vzeroupper on the
-// exit of a function that takes one, and a caller returning into SSE code
-// with dirty upper halves ran the next SSE loop (the loss) ~15x slower.
+// out[i0, i0 + R) x [j0, j0 + 8V) = a · b over the whole k loop, with the
+// R x V accumulators in registers, started at +0. The last vector writes
+// only its first `last_lanes` lanes.
+// Each element is the same k-ordered FMA chain as the row loop below. A
+// zero a must add nothing, even over a NaN or infinite b; instead of a
+// branch, which mispredicts on sign-random activations, the product
+// becomes (-0) * (+0), and x + (-0) == x for every x. No vector argument
+// is passed: GCC omits the vzeroupper on the exit of a function that
+// takes one, and a caller returning into SSE code with dirty upper halves
+// ran the next SSE loop (the loss) ~15x slower.
 template <int R, int V>
 void NarrowTile(const float* a, const float* b, float* out, int64_t i0,
                 int64_t k, int64_t n, int64_t j0, int64_t last_lanes) {
   const __m256i last = FirstLanes(last_lanes);
   __m256 acc[R][V];
   for (int r = 0; r < R; ++r) {
-    const float* orow = out + (i0 + r) * n + j0;
-    for (int v = 0; v + 1 < V; ++v) acc[r][v] = _mm256_loadu_ps(orow + 8 * v);
-    acc[r][V - 1] = _mm256_maskload_ps(orow + 8 * (V - 1), last);
+    for (int v = 0; v < V; ++v) acc[r][v] = _mm256_setzero_ps();
   }
   const __m256 neg_zero = _mm256_set1_ps(-0.0f);
   for (int64_t kk = 0; kk < k; ++kk) {
@@ -208,11 +207,35 @@ void MatmulRowBlockAvx2(const float* a, const float* b, float* out,
     }
     return;
   }
-  for (int64_t k0 = 0; k0 < k; k0 += kMatmulKTile) {
+  // One tile even at k == 0, so that the rows are still written.
+  for (int64_t k0 = 0; k0 < std::max<int64_t>(k, 1); k0 += kMatmulKTile) {
     const int64_t k1 = k0 + kMatmulKTile < k ? k0 + kMatmulKTile : k;
     for (int64_t i = row_begin; i < row_end; ++i) {
       float* orow = out + i * n;
-      for (int64_t kk = k0; kk < k1; ++kk) {
+      int64_t kk = k0;
+      if (k0 == 0) {
+        // The row's chain starts at its first nonzero a with
+        // fma(a, b, +0), the first step of a chain onto a +0 row, without
+        // zero-filling the row and loading it back. A first tile whose a
+        // row is all zero writes +0.
+        while (kk < k1 && a[i * k + kk] == 0.0f) ++kk;
+        if (kk == k1) {
+          std::fill(orow, orow + n, 0.0f);
+          continue;
+        }
+        const float aik = a[i * k + kk];
+        const float* brow = b + kk * n;
+        const __m256 va = _mm256_set1_ps(aik);
+        int64_t j = 0;
+        for (; j + 8 <= n; j += 8) {
+          _mm256_storeu_ps(orow + j,
+                           _mm256_fmadd_ps(va, _mm256_loadu_ps(brow + j),
+                                           _mm256_setzero_ps()));
+        }
+        for (; j < n; ++j) orow[j] = std::fma(aik, brow[j], 0.0f);
+        ++kk;
+      }
+      for (; kk < k1; ++kk) {
         const float aik = a[i * k + kk];
         if (aik == 0.0f) continue;
         const float* brow = b + kk * n;
@@ -296,6 +319,77 @@ void CopyRunsAvx2(const float* src, int64_t src_stride, float* dst,
       _mm_storeu_ps(to + n - 4, _mm_loadu_ps(from + n - 4));
     } else {
       _mm_maskstore_ps(to, live, _mm_maskload_ps(from, live));
+    }
+  }
+}
+
+// Kernels wider than this fold with the scalar loop.
+constexpr int64_t kMaxFoldKernel = 8;
+
+// An 8-column block of image row ih is loaded once, receives all its
+// (kh, kw) contributions in that order in a register, and is stored once.
+// Folding one column row at a time instead reads back, one float to the
+// side, what the previous (kh, kw) has just stored, and a vector load
+// does not forward from a store it only partly overlaps. Lane l of the
+// block is image column j + l; for kw it takes output column ow0 + l,
+// inside [0, out_w) for the lanes [lo, hi). Those are loaded from output
+// column ow0 + lo and moved up lo lanes, and every other lane adds -0,
+// which leaves every x as it was. The lane masks depend only on the
+// block and kw, so they are built once per block.
+void Col2ImAvx2(const float* columns, int64_t channels, int64_t height,
+                int64_t width, int64_t k, int64_t padding, float* image) {
+  if (k > kMaxFoldKernel) {
+    ScalarKernels().col2im(columns, channels, height, width, k, padding,
+                           image);
+    return;
+  }
+  const int64_t out_h = height + 2 * padding - k + 1;
+  const int64_t out_w = width + 2 * padding - k + 1;
+  const int64_t spatial = out_h * out_w;
+  const __m256i lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+  const __m256 neg_zero = _mm256_set1_ps(-0.0f);
+  for (int64_t j = 0; j < width; j += 8) {
+    const int64_t live = std::min<int64_t>(8, width - j);
+    const __m256i row_lanes = FirstLanes(live);
+    int64_t from[kMaxFoldKernel];  // -1 when no lane reads this kw
+    __m256i loaded[kMaxFoldKernel], shift[kMaxFoldKernel];
+    __m256i inside[kMaxFoldKernel];
+    for (int64_t kw = 0; kw < k; ++kw) {
+      const int64_t ow0 = j + padding - kw;
+      const int64_t lo = std::clamp<int64_t>(-ow0, 0, live);
+      const int64_t hi = std::clamp<int64_t>(out_w - ow0, lo, live);
+      from[kw] = hi > lo ? ow0 + lo : -1;
+      loaded[kw] = FirstLanes(hi - lo);
+      shift[kw] =
+          _mm256_sub_epi32(lane, _mm256_set1_epi32(static_cast<int>(lo)));
+      inside[kw] = _mm256_andnot_si256(FirstLanes(lo), FirstLanes(hi));
+    }
+    // Even rows, then odd rows: a block's masked load that overlaps the
+    // previous row's masked store (rows under 8 floats wide) waits for
+    // that store to complete. Two rows apart, blocks of rows at least 4
+    // floats wide do not overlap.
+    for (int64_t c = 0; c < channels; ++c) {
+      for (int64_t first = 0; first < 2; ++first) {
+        for (int64_t ih = first; ih < height; ih += 2) {
+          float* row = image + (c * height + ih) * width + j;
+          __m256 acc = _mm256_maskload_ps(row, row_lanes);
+          for (int64_t kh = 0; kh < k; ++kh) {
+            const int64_t oh = ih + padding - kh;
+            if (oh < 0 || oh >= out_h) continue;
+            const float* src =
+                columns + (c * k + kh) * k * spatial + oh * out_w;
+            for (int64_t kw = 0; kw < k; ++kw, src += spatial) {
+              if (from[kw] < 0) continue;
+              const __m256 v = _mm256_permutevar8x32_ps(
+                  _mm256_maskload_ps(src + from[kw], loaded[kw]), shift[kw]);
+              acc = _mm256_add_ps(
+                  acc, _mm256_blendv_ps(neg_zero, v,
+                                        _mm256_castsi256_ps(inside[kw])));
+            }
+          }
+          _mm256_maskstore_ps(row, row_lanes, acc);
+        }
+      }
     }
   }
 }
@@ -507,6 +601,7 @@ const KernelTable& Avx2Kernels() {
       .matmul_row_block = MatmulRowBlockAvx2,
       .transpose_tile = TransposeTileAvx2,
       .copy_runs = CopyRunsAvx2,
+      .col2im = Col2ImAvx2,
       .max_pool_2x2 = MaxPool2x2Avx2,
       .sqrt_array = SqrtArrayAvx2,
       .sincos = SinCosAvx2,

@@ -31,6 +31,8 @@ struct KernelTable {
                          int64_t);
   void (*copy_runs)(const float*, int64_t, float*, int64_t, int64_t,
                     int64_t);
+  void (*col2im)(const float*, int64_t, int64_t, int64_t, int64_t, int64_t,
+                 float*);
   void (*max_pool_2x2)(const float*, int64_t, int64_t, int64_t, float*,
                        int64_t*);
   void (*sqrt_array)(const double*, double*, int64_t);

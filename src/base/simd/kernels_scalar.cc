@@ -5,6 +5,7 @@
 // flags — no -mavx2/-mfma — so no FMA contraction can change roundings
 // relative to the historical code.
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <numbers>
@@ -62,6 +63,7 @@ double DotScalar(const float* a, const float* b, int64_t n) {
 void MatmulRowBlockScalar(const float* a, const float* b, float* out,
                           int64_t row_begin, int64_t row_end, int64_t k,
                           int64_t n) {
+  std::fill(out + row_begin * n, out + row_end * n, 0.0f);
   for (int64_t k0 = 0; k0 < k; k0 += kMatmulKTile) {
     const int64_t k1 = k0 + kMatmulKTile < k ? k0 + kMatmulKTile : k;
     for (int64_t i = row_begin; i < row_end; ++i) {
@@ -91,6 +93,37 @@ void CopyRunsScalar(const float* src, int64_t src_stride, float* dst,
     const float* from = src + r * src_stride;
     float* to = dst + r * dst_stride;
     for (int64_t j = 0; j < n; ++j) to[j] = from[j];
+  }
+}
+
+// Each column row (c, kh, kw) adds its in-bounds outputs onto the image
+// in row order, one add per element, so an image element receives its
+// contributions in (kh, kw) order.
+void Col2ImScalar(const float* columns, int64_t channels, int64_t height,
+                  int64_t width, int64_t k, int64_t padding, float* image) {
+  const int64_t out_h = height + 2 * padding - k + 1;
+  const int64_t out_w = width + 2 * padding - k + 1;
+  const int64_t spatial = out_h * out_w;
+  for (int64_t c = 0; c < channels; ++c) {
+    int64_t row = c * k * k;
+    for (int64_t kh = 0; kh < k; ++kh) {
+      for (int64_t kw = 0; kw < k; ++kw, ++row) {
+        const float* src_row = columns + row * spatial;
+        // Output ow maps to image column ow + kw - padding, inside the
+        // image for ow in [ow_lo, ow_hi).
+        const int64_t ow_lo = std::clamp<int64_t>(padding - kw, 0, out_w);
+        const int64_t ow_hi =
+            std::clamp<int64_t>(width + padding - kw, ow_lo, out_w);
+        for (int64_t oh = 0; oh < out_h; ++oh) {
+          const int64_t ih = oh + kh - padding;
+          if (ih < 0 || ih >= height) continue;
+          float* dst = image + (c * height + ih) * width;
+          const float* src = src_row + oh * out_w;
+          const int64_t shift = kw - padding;
+          for (int64_t ow = ow_lo; ow < ow_hi; ++ow) dst[ow + shift] += src[ow];
+        }
+      }
+    }
   }
 }
 
@@ -166,6 +199,7 @@ const KernelTable& ScalarKernels() {
       .matmul_row_block = MatmulRowBlockScalar,
       .transpose_tile = TransposeTileScalar,
       .copy_runs = CopyRunsScalar,
+      .col2im = Col2ImScalar,
       .max_pool_2x2 = MaxPool2x2Scalar,
       .sqrt_array = SqrtArrayScalar,
       .sincos = SinCosScalar,

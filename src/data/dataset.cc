@@ -41,9 +41,8 @@ Tensor InMemoryDataset::StackImages(const std::vector<int64_t>& indices) const {
   const int64_t stride = first.numel();
   for (size_t b = 0; b < indices.size(); ++b) {
     const Tensor& img = image(indices[b]);
-    for (int64_t i = 0; i < stride; ++i) {
-      batch[static_cast<int64_t>(b) * stride + i] = img[i];
-    }
+    std::copy_n(img.data(), stride,
+                batch.data() + static_cast<int64_t>(b) * stride);
   }
   return batch;
 }

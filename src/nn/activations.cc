@@ -4,27 +4,37 @@
 
 namespace geodp {
 
+Tensor ReLU::Forward(const Tensor& input) { return ForwardOwned(input); }
+
 // ReLU selects instead of branching: on sign-random inputs a branch per
 // element mispredicts about half the time. NaN compares false, so it maps
-// like a negative input.
-Tensor ReLU::Forward(const Tensor& input) {
-  if (mask_.shape() != input.shape()) mask_ = Tensor(input.shape());
-  Tensor output(input.shape());
-  const float* x = input.data();
-  float* y = output.data();
-  float* mask = mask_.data();
-  for (int64_t i = 0; i < input.numel(); ++i) {
-    const bool on = x[i] > 0.0f;
-    y[i] = on ? x[i] : 0.0f;
-    mask[i] = on ? 1.0f : 0.0f;
+// like a negative input. The element count is read once: a byte store
+// may alias anything, so a count read per iteration would be reloaded
+// after every mask store and keep the loop from vectorizing.
+Tensor ReLU::ForwardOwned(Tensor input) {
+  const int64_t n = input.numel();
+  input_shape_ = input.shape();
+  mask_.resize(static_cast<size_t>(n));
+  float* y = input.data();
+  uint8_t* on = mask_.data();
+  for (int64_t i = 0; i < n; ++i) {
+    const bool positive = y[i] > 0.0f;
+    y[i] = positive ? y[i] : 0.0f;
+    on[i] = positive;
   }
-  return output;
+  return input;
 }
 
+// The gradient is multiplied by 1 or 0 rather than selected, so a masked
+// element keeps the product's bits: -0 for a negative g, NaN for an
+// infinite or NaN one.
 Tensor ReLU::Backward(const Tensor& grad_output) {
-  GEODP_CHECK(SameShape(grad_output, mask_));
+  GEODP_CHECK(grad_output.shape() == input_shape_);
+  const int64_t n = grad_output.numel();
   Tensor grad_input = grad_output;
-  for (int64_t i = 0; i < grad_input.numel(); ++i) grad_input[i] *= mask_[i];
+  float* g = grad_input.data();
+  const uint8_t* on = mask_.data();
+  for (int64_t i = 0; i < n; ++i) g[i] *= static_cast<float>(on[i]);
   return grad_input;
 }
 

@@ -3,7 +3,9 @@
 #ifndef GEODP_NN_ACTIVATIONS_H_
 #define GEODP_NN_ACTIVATIONS_H_
 
+#include <cstdint>
 #include <string>
+#include <vector>
 
 #include "nn/module.h"
 
@@ -15,11 +17,14 @@ class ReLU : public Layer {
   ReLU() = default;
 
   Tensor Forward(const Tensor& input) override;
+  // Selects in place: the output is written over the input.
+  Tensor ForwardOwned(Tensor input) override;
   Tensor Backward(const Tensor& grad_output) override;
   std::string name() const override { return "ReLU"; }
 
  private:
-  Tensor mask_;  // 1 where input > 0
+  std::vector<int64_t> input_shape_;
+  std::vector<uint8_t> mask_;  // 1 where input > 0
 };
 
 }  // namespace geodp

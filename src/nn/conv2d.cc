@@ -1,7 +1,5 @@
 #include "nn/conv2d.h"
 
-#include <algorithm>
-
 #include "base/check.h"
 #include "base/simd/kernels.h"
 #include "nn/im2col.h"
@@ -79,8 +77,9 @@ Tensor Conv2d::ForwardIm2Col(const Tensor& input) {
   const int64_t image_size = in_channels_ * in_h * in_w;
   if (columns_.numel() != kk * spatial) columns_ = Tensor({kk, spatial});
   // Sample b's [OC, OH*OW] output block is the product W · cols_b, so the
-  // kernel writes it in place (the output starts zeroed). The bias is added
-  // to the finished product: each output rounds as product + bias.
+  // kernel writes it in place. The bias is added to the finished product:
+  // each output rounds as product + bias. The last sample's unfold stays
+  // in columns_ for the backward.
   Tensor output({batch, out_channels_, out_h, out_w});
   for (int64_t b = 0; b < batch; ++b) {
     Im2ColInto(input.data() + b * image_size, in_channels_, in_h, in_w,
@@ -111,33 +110,38 @@ Tensor Conv2d::BackwardIm2Col(const Tensor& grad_output, bool input_grad) {
   if (input_grad) {
     TransposeInto(weight_.value.data(), out_channels_, kk, weight_t_.data());
   }
+  GEODP_CHECK_EQ(columns_.numel(), kk * spatial);
   if (columns_t_.numel() != spatial * kk) columns_t_ = Tensor({spatial, kk});
   if (product_.numel() != out_channels_ * kk) {
     product_ = Tensor({out_channels_, kk});
   }
-  if (input_grad && columns_.numel() != kk * spatial) {
-    columns_ = Tensor({kk, spatial});
+  if (input_grad && grad_columns_.numel() != kk * spatial) {
+    grad_columns_ = Tensor({kk, spatial});
   }
   weight_grad_matrix_.Fill(0.0f);
   Tensor grad_input = input_grad ? Tensor(input.shape()) : Tensor();
 
   for (int64_t b = 0; b < batch; ++b) {
-    Im2ColTransposedInto(input.data() + b * image_size, in_channels_, in_h,
-                         in_w, kernel_size_, padding_, columns_t_.data());
+    // The forward left the last sample's unfold in columns_; transposing
+    // it copies the same values Im2ColTransposedInto would.
+    if (b + 1 == batch) {
+      TransposeInto(columns_.data(), kk, spatial, columns_t_.data());
+    } else {
+      Im2ColTransposedInto(input.data() + b * image_size, in_channels_, in_h,
+                           in_w, kernel_size_, padding_, columns_t_.data());
+    }
     const float* gy = grad_output.data() + b * out_channels_ * spatial;
     // dW += dY @ cols^T, formed in scratch and then added, so each sample's
     // product rounds on its own before joining the sum.
-    product_.Fill(0.0f);
     MatmulInto(gy, columns_t_.data(), product_.data(), out_channels_, spatial,
                kk);
     weight_grad_matrix_.AddInPlace(product_);
     if (input_grad) {
       // dX_cols = W^T @ dY, folded onto sample b's zeroed input gradient.
-      columns_.Fill(0.0f);
-      MatmulInto(weight_t_.data(), gy, columns_.data(), kk, out_channels_,
-                 spatial);
-      Col2ImInto(columns_.data(), in_channels_, in_h, in_w, kernel_size_,
-                 padding_, grad_input.data() + b * image_size);
+      MatmulInto(weight_t_.data(), gy, grad_columns_.data(), kk,
+                 out_channels_, spatial);
+      Col2ImInto(grad_columns_.data(), in_channels_, in_h, in_w,
+                 kernel_size_, padding_, grad_input.data() + b * image_size);
     }
     if (with_bias_) {
       for (int64_t oc = 0; oc < out_channels_; ++oc) {
@@ -290,9 +294,6 @@ Tensor Conv2d::GhostPass(
     // Sample b's weight gradient in the unfolded basis: G_b = gy_b cols^T
     // ([OC, kk], a few kB at this library's shapes). Its squared norm is
     // all that survives; the scratch is overwritten by the next sample.
-    std::fill(sample_grad.data(),                       // geodp: per-sample
-              sample_grad.data() + out_channels_ * kk,  // geodp: per-sample
-              0.0f);
     simd::MatmulRowBlock(gy, cols_t,
                          sample_grad.data(),  // geodp: per-sample
                          0, out_channels_, spatial, kk);
@@ -312,7 +313,6 @@ Tensor Conv2d::GhostPass(
     // dL/dinput exactly as BackwardIm2Col computes it (no parameter
     // gradients are touched in this pass).
     if (!input_grad) continue;
-    std::fill(grad_cols.data(), grad_cols.data() + kk * spatial, 0.0f);
     simd::MatmulRowBlock(weight_t_.data(), gy, grad_cols.data(), 0, kk,
                          out_channels_, spatial);
     Col2ImInto(grad_cols.data(), in_channels_, in_h, in_w, kernel_size_,
@@ -345,9 +345,6 @@ void Conv2d::GhostAccumulate(const std::vector<double>& weights) {
     const float* cols_t = cached_columns_t_.data() + b * spatial * kk;
     // Replay G_b = gy_b cols^T from the cached unfold, then fold it into
     // the batch sum under the clip weight.
-    std::fill(sample_grad.data(),                       // geodp: per-sample
-              sample_grad.data() + out_channels_ * kk,  // geodp: per-sample
-              0.0f);
     simd::MatmulRowBlock(gy, cols_t,
                          sample_grad.data(),  // geodp: per-sample
                          0, out_channels_, spatial, kk);

@@ -76,11 +76,13 @@ class Conv2d : public Layer {
   Parameter bias_;    // [OC]
   Tensor cached_input_;
   // Per-sample scratch of the im2col path, reused across samples and calls:
-  // one sample's unfold [IC*K*K, OH*OW] (forward; backward's dX columns),
-  // its transpose [OH*OW, IC*K*K] and its weight gradient [OC, IC*K*K].
+  // one sample's unfold [IC*K*K, OH*OW] (the forward's; it keeps the last
+  // sample's for the backward), its transpose [OH*OW, IC*K*K], its weight
+  // gradient [OC, IC*K*K] and its input gradient's columns [IC*K*K, OH*OW].
   Tensor columns_;
   Tensor columns_t_;
   Tensor product_;
+  Tensor grad_columns_;
   // Per-call scratch of the im2col and ghost backward passes: W^T
   // [IC*K*K, OC] and the batch's weight gradient [OC, IC*K*K] before it
   // joins the parameter's.

@@ -137,34 +137,9 @@ Tensor Col2Im(const Tensor& columns, int64_t channels, int64_t height,
 void Col2ImInto(const float* columns, int64_t channels, int64_t height,
                 int64_t width, int64_t kernel_size, int64_t padding,
                 float* image) {
-  const int64_t out_h = height + 2 * padding - kernel_size + 1;
-  const int64_t out_w = width + 2 * padding - kernel_size + 1;
-  const int64_t spatial = out_h * out_w;
   // Serial: a fold is a few thousand adds per sample, less than a pool
-  // fork-join costs. Each row (c, kh, kw) adds its in-bounds outputs onto
-  // the image in row order, one add per element, so an image element
-  // receives its contributions in (kh, kw) order.
-  for (int64_t c = 0; c < channels; ++c) {
-    int64_t row = c * kernel_size * kernel_size;
-    for (int64_t kh = 0; kh < kernel_size; ++kh) {
-      for (int64_t kw = 0; kw < kernel_size; ++kw, ++row) {
-        const float* src_row = columns + row * spatial;
-        // Output ow maps to image column ow + kw - padding, inside the
-        // image for ow in [ow_lo, ow_hi).
-        const int64_t ow_lo = std::clamp<int64_t>(padding - kw, 0, out_w);
-        const int64_t ow_hi =
-            std::clamp<int64_t>(width + padding - kw, ow_lo, out_w);
-        for (int64_t oh = 0; oh < out_h; ++oh) {
-          const int64_t ih = oh + kh - padding;
-          if (ih < 0 || ih >= height) continue;
-          float* dst = image + (c * height + ih) * width;
-          const float* src = src_row + oh * out_w;
-          const int64_t shift = kw - padding;
-          for (int64_t ow = ow_lo; ow < ow_hi; ++ow) dst[ow + shift] += src[ow];
-        }
-      }
-    }
-  }
+  // fork-join costs.
+  simd::Col2Im(columns, channels, height, width, kernel_size, padding, image);
 }
 
 }  // namespace geodp

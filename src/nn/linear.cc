@@ -89,7 +89,6 @@ void Linear::AddWeightGradient(const Tensor& grad_output) {
   }
   TransposeInto(grad_output.data(), batch, out_features_,
                 grad_output_t_.data());
-  weight_product_.Fill(0.0f);
   MatmulInto(grad_output_t_.data(), cached_input_.data(),
              weight_product_.data(), out_features_, batch, in_features_);
   simd::Add(weight_.grad.data(), weight_product_.data(),

@@ -22,6 +22,10 @@ class Layer {
   /// Computes the layer output for a batch; caches state for Backward.
   virtual Tensor Forward(const Tensor& input) = 0;
 
+  /// Forward for a caller that has no further use for `input`: a layer may
+  /// write its output over it. Defaults to Forward(input).
+  virtual Tensor ForwardOwned(Tensor input) { return Forward(input); }
+
   /// Given dL/d(output), accumulates parameter gradients and returns
   /// dL/d(input). Must be called after a matching Forward.
   virtual Tensor Backward(const Tensor& grad_output) = 0;

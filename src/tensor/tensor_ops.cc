@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "base/simd/kernels.h"
 #include "base/thread_pool.h"
@@ -128,9 +129,13 @@ double MaxAbsDiff(const Tensor& a, const Tensor& b) {
   GEODP_CHECK(SameShape(a, b));
   double max_diff = 0.0;
   for (int64_t i = 0; i < a.numel(); ++i) {
-    max_diff = std::max(
-        max_diff,
-        std::fabs(static_cast<double>(a[i]) - static_cast<double>(b[i])));
+    const double x = a[i], y = b[i];
+    // Equal values, infinities included, differ by 0 and so do two NaNs;
+    // a NaN against a number differs by +inf instead of vanishing in max.
+    if (x == y || (std::isnan(x) && std::isnan(y))) continue;
+    max_diff = std::isnan(x) || std::isnan(y)
+                   ? std::numeric_limits<double>::infinity()
+                   : std::max(max_diff, std::fabs(x - y));
   }
   return max_diff;
 }

@@ -29,9 +29,9 @@ double Dot(const Tensor& a, const Tensor& b);
 /// Matrix product of a [m, k] and b [k, n] -> [m, n].
 Tensor Matmul(const Tensor& a, const Tensor& b);
 
-/// Matmul on raw row-major buffers: out [m, n] += a [m, k] · b [k, n],
-/// with out zeroed by the caller. Same bits as Matmul, for callers that
-/// reuse their own output buffer.
+/// Matmul on raw row-major buffers: out [m, n] = a [m, k] · b [k, n]. The
+/// old contents of out are never read. Same bits as Matmul, for callers
+/// that reuse their own output buffer.
 void MatmulInto(const float* a, const float* b, float* out, int64_t m,
                 int64_t k, int64_t n);
 
@@ -48,7 +48,9 @@ std::vector<int64_t> ArgMaxRows(const Tensor& a);
 /// Mean of all elements.
 double Mean(const Tensor& a);
 
-/// Maximum absolute elementwise difference; shapes must match.
+/// Maximum absolute elementwise difference; shapes must match. Equal
+/// elements (same-signed infinities included) and NaN against NaN count 0;
+/// NaN against a non-NaN counts +inf.
 double MaxAbsDiff(const Tensor& a, const Tensor& b);
 
 /// True if shapes match and every element pair differs by at most

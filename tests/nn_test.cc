@@ -441,12 +441,47 @@ TEST(ReLUTest, ForwardAndMaskMatchHistoricalLoopBitForBit) {
   const Tensor x = SpecialValues({3, 2, 4, 5}, 31);
   Tensor want_mask;
   const Tensor want = HistoricalRelu(x, want_mask);
+  // Backward multiplies by the mask, so a gradient of ones reads it out;
+  // the in-place forward must leave the same mask as the copying one.
   ReLU relu;
   EXPECT_EQ(FirstBitMismatch(relu.Forward(x), want), -1);
-  // Backward multiplies by the mask, so a gradient of ones reads it out.
   EXPECT_EQ(FirstBitMismatch(relu.Backward(Tensor::Full(x.shape(), 1.0f)),
                              want_mask),
             -1);
+  EXPECT_EQ(FirstBitMismatch(relu.ForwardOwned(x), want), -1);
+  EXPECT_EQ(FirstBitMismatch(relu.Backward(Tensor::Full(x.shape(), 1.0f)),
+                             want_mask),
+            -1);
+}
+
+TEST(ReLUTest, BackwardMatchesHistoricalMaskMultiplyBitForBit) {
+  // NaN, infinities, signed zeros and subnormals on both sides, paired at
+  // random: each case draws fresh inputs and gradients. A masked gradient
+  // keeps the product's bits (-0, or NaN for an infinite g).
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float tiny = std::numeric_limits<float>::denorm_min();
+  const float alphabet[] = {nan,  -nan,  0.0f, -0.0f, kInf,
+                            -kInf, tiny, -tiny, 1.5f, -2.0f};
+  for (uint64_t seed = 0; seed < 6; ++seed) {
+    Rng rng(60 + seed);
+    Tensor x({2, 3, 5, 7});
+    Tensor g(x.shape());
+    for (Tensor* t : {&x, &g}) {
+      for (int64_t i = 0; i < t->numel(); ++i) {
+        (*t)[i] = rng.Uniform() < 0.5
+                      ? alphabet[rng.UniformInt(std::size(alphabet))]
+                      : static_cast<float>(rng.Gaussian(0.0, 1.0));
+      }
+    }
+    Tensor mask;
+    const Tensor want = HistoricalRelu(x, mask);
+    Tensor want_grad = g;
+    for (int64_t i = 0; i < g.numel(); ++i) want_grad[i] *= mask[i];
+    ReLU relu;
+    EXPECT_EQ(FirstBitMismatch(relu.Forward(x), want), -1) << seed;
+    EXPECT_EQ(FirstBitMismatch(relu.Backward(g), want_grad), -1) << seed;
+  }
 }
 
 TEST(MaxPoolTest, ForwardAndArgmaxMatchHistoricalLoopBitForBit) {
@@ -564,8 +599,11 @@ TEST(Conv2dTest, Im2ColMatchesHistoricalCompositionBitForBit) {
     bool with_bias;
     int64_t batch, h, w;
   };
-  // The CNN's two convolutions, then odd shapes with and without bias.
-  const Shape shapes[] = {{1, 6, 3, 1, true, 3, 14, 14},
+  // The CNN's two convolutions at batch 1 (a materialized sample) and
+  // above, then odd shapes with and without bias.
+  const Shape shapes[] = {{1, 6, 3, 1, true, 1, 14, 14},
+                          {1, 6, 3, 1, true, 3, 14, 14},
+                          {6, 12, 3, 0, true, 1, 7, 7},
                           {6, 12, 3, 0, true, 2, 7, 7},
                           {2, 3, 3, 1, false, 2, 5, 6},
                           {3, 4, 2, 0, false, 1, 6, 5}};
@@ -611,6 +649,54 @@ TEST(Conv2dTest, Im2ColMatchesHistoricalCompositionBitForBit) {
         if (s.with_bias) {
           EXPECT_EQ(FirstBitMismatch(params[1]->grad, want.bias_grad), -1);
         }
+      }
+    }
+  }
+  SetSimdTier(entry_tier);
+  SetGlobalThreadCount(entry_threads);
+}
+
+TEST(Conv2dTest, Im2ColBackwardFollowsTheLastForward) {
+  // The backward reuses the last forward's unfold of its last sample. A
+  // forward of another batch, of another image size, before it must not
+  // show: the result is the composition on the last forward's input.
+  const SimdTier entry_tier = ActiveSimdTier();
+  const int entry_threads = GetGlobalThreadCount();
+  Rng rng(77);
+  Conv2d layer(6, 12, 3, rng, /*padding=*/0);
+  const std::vector<Parameter*> params = layer.Parameters();
+  params[1]->value = Tensor::Randn({12}, rng);
+  const auto relu_like = [&rng](std::vector<int64_t> shape) {
+    Tensor t = Tensor::Randn(std::move(shape), rng);
+    for (int64_t i = 0; i < t.numel(); ++i) t[i] = t[i] > 0.0f ? t[i] : 0.0f;
+    return t;
+  };
+  const Tensor other = relu_like({3, 6, 9, 9});
+  for (const int64_t batch : {1, 3}) {
+    const Tensor x = relu_like({batch, 6, 7, 7});
+    Tensor gy = Tensor::Randn({batch, 12, 5, 5}, rng);
+    for (int64_t i = 0; i < gy.numel(); i += 3) gy[i] = 0.0f;
+    for (const SimdTier tier : AvailableSimdTiers()) {
+      SetSimdTier(tier);
+      const ConvPass want = HistoricalIm2ColConv(
+          x, params[0]->value, params[1]->value, true, 0, gy);
+      for (const int threads : {1, 4}) {
+        SetGlobalThreadCount(threads);
+        SCOPED_TRACE(std::string(SimdTierName(tier)) + " threads " +
+                     std::to_string(threads) + " batch " +
+                     std::to_string(batch));
+        ZeroGradients(params);
+        layer.Forward(other);
+        EXPECT_EQ(FirstBitMismatch(layer.Forward(x), want.output), -1);
+        EXPECT_EQ(FirstBitMismatch(layer.Backward(gy), want.grad_input), -1);
+        EXPECT_EQ(FirstBitMismatch(params[0]->grad, want.weight_grad), -1);
+        EXPECT_EQ(FirstBitMismatch(params[1]->grad, want.bias_grad), -1);
+        ZeroGradients(params);
+        layer.Forward(other);
+        layer.Forward(x);
+        layer.BackwardParameters(gy, nullptr);
+        EXPECT_EQ(FirstBitMismatch(params[0]->grad, want.weight_grad), -1);
+        EXPECT_EQ(FirstBitMismatch(params[1]->grad, want.bias_grad), -1);
       }
     }
   }

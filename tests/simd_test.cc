@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -59,15 +60,32 @@ std::vector<double> RandnF64(int64_t n, uint64_t seed) {
   return v;
 }
 
+// MaxAbsDiff's rule: equal elements (same-signed infinities included) and
+// NaN against NaN count 0, NaN against a non-NaN counts +inf.
 template <typename T>
 double MaxAbsDiffSpan(const std::vector<T>& a, const std::vector<T>& b) {
   EXPECT_EQ(a.size(), b.size());
   double worst = 0.0;
   for (size_t i = 0; i < a.size() && i < b.size(); ++i) {
-    worst = std::max(worst, std::abs(static_cast<double>(a[i]) -
-                                     static_cast<double>(b[i])));
+    const double x = static_cast<double>(a[i]);
+    const double y = static_cast<double>(b[i]);
+    if (x == y || (std::isnan(x) && std::isnan(y))) continue;
+    worst = std::isnan(x) || std::isnan(y)
+                ? std::numeric_limits<double>::infinity()
+                : std::max(worst, std::abs(x - y));
   }
   return worst;
+}
+
+TEST(MaxAbsDiffSpanTest, NanAgainstANumberIsInfiniteAndAgainstNanIsZero) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(MaxAbsDiffSpan<double>({1.0, inf, -inf, nan},
+                                   {1.0, inf, -inf, -nan}),
+            0.0);
+  EXPECT_EQ(MaxAbsDiffSpan<double>({nan, 1.0}, {2.0, 3.0}), inf);
+  EXPECT_EQ(MaxAbsDiffSpan<double>({1.0, 2.0}, {3.0, nan}), inf);
+  EXPECT_EQ(MaxAbsDiffSpan<double>({1.0, 2.0}, {1.5, 4.0}), 2.0);
 }
 
 // Restores the entry tier after each test, so a failing ASSERT can never
@@ -291,6 +309,80 @@ TEST_F(SimdKernelTest, CopyRunsCopiesExactlyTheRunsOnEveryTier) {
   }
 }
 
+TEST_F(SimdKernelTest, Col2ImMatchesTheDefinitionOnEveryTier) {
+  // Image widths 1-17 cover one partial 8-column block, a full one and a
+  // full one plus a partial one; paddings from 0 past the kernel's reach
+  // shift every contribution left and right of its output column. The
+  // image starts as a partial sum holding -0, which a lane outside its
+  // contribution's range must keep. x86's default NaN (the one inf + -inf
+  // makes) is the only NaN, so every NaN sum has the same bits whichever
+  // operand comes first.
+  const float nan = std::bit_cast<float>(0xffc00000u);
+  const float inf = std::numeric_limits<float>::infinity();
+  // k = 9 is past the AVX2 tier's register masks and takes the scalar
+  // loop there.
+  for (const int64_t k : {1, 2, 3, 5, 9}) {
+    for (const int64_t padding : {int64_t{0}, int64_t{1}, k}) {
+      for (int64_t width = 1; width <= 17; ++width) {
+        const int64_t channels = 2, height = 4;
+        const int64_t out_h = height + 2 * padding - k + 1;
+        const int64_t out_w = width + 2 * padding - k + 1;
+        if (out_h <= 0 || out_w <= 0) continue;
+        const int64_t spatial = out_h * out_w;
+        std::vector<float> columns = RandnF32(
+            channels * k * k * spatial, 15000 + static_cast<uint64_t>(width));
+        columns[0] = inf;
+        columns[columns.size() / 2] = -inf;
+        columns.back() = nan;
+        std::vector<float> start = RandnF32(
+            channels * height * width, 16000 + static_cast<uint64_t>(k));
+        for (size_t i = 0; i < start.size(); i += 3) start[i] = -0.0f;
+        std::vector<float> want = start;
+        for (int64_t c = 0; c < channels; ++c) {
+          for (int64_t kh = 0; kh < k; ++kh) {
+            for (int64_t kw = 0; kw < k; ++kw) {
+              const int64_t row = (c * k + kh) * k + kw;
+              for (int64_t oh = 0; oh < out_h; ++oh) {
+                for (int64_t ow = 0; ow < out_w; ++ow) {
+                  const int64_t ih = oh + kh - padding;
+                  const int64_t iw = ow + kw - padding;
+                  if (ih < 0 || ih >= height || iw < 0 || iw >= width) {
+                    continue;
+                  }
+                  want[static_cast<size_t>((c * height + ih) * width + iw)] +=
+                      columns[static_cast<size_t>(row * spatial +
+                                                  oh * out_w + ow)];
+                }
+              }
+            }
+          }
+        }
+        // Folding -0 columns onto a -0 image adds only -0, so every
+        // element must stay -0, including those a lane outside its range
+        // passes over.
+        const std::vector<float> neg_zero_columns(columns.size(), -0.0f);
+        const std::vector<float> neg_zero_image(start.size(), -0.0f);
+        ForEachTier([&](SimdTier) {
+          std::vector<float> got = start;
+          simd::Col2Im(columns.data(), channels, height, width, k, padding,
+                       got.data());
+          EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                                want.size() * sizeof(float)),
+                    0)
+              << "k=" << k << " padding=" << padding << " width=" << width;
+          got = neg_zero_image;
+          simd::Col2Im(neg_zero_columns.data(), channels, height, width, k,
+                       padding, got.data());
+          EXPECT_EQ(std::memcmp(got.data(), neg_zero_image.data(),
+                                got.size() * sizeof(float)),
+                    0)
+              << "-0 k=" << k << " padding=" << padding << " width=" << width;
+        });
+      }
+    }
+  }
+}
+
 TEST_F(SimdKernelTest, TransposeTileWritesOnlyItsTileOnEveryTier) {
   // Tiles below, at and past the 8x8 register block, inside larger
   // strided matrices whose other elements must keep their sentinel.
@@ -406,7 +498,10 @@ void ExpectMatmulMatchesChain(const std::vector<float>& a,
   ForEachTier([&](SimdTier tier) {
     const std::vector<float> want =
         MatmulChain(a, b, m, k, n, /*fused=*/tier != SimdTier::kScalar);
-    std::vector<float> out(static_cast<size_t>(m * n), 0.0f);
+    // The output starts as NaN: the kernel must never read what it
+    // overwrites.
+    std::vector<float> out(static_cast<size_t>(m * n),
+                           std::numeric_limits<float>::quiet_NaN());
     const int64_t split = m / 2;
     simd::MatmulRowBlock(a.data(), b.data(), out.data(), 0, split, k, n);
     simd::MatmulRowBlock(a.data(), b.data(), out.data(), split, m, k, n);
@@ -459,6 +554,49 @@ TEST_F(SimdKernelTest, MatmulKeepsEachElementsKOrderedChainForNarrowOutputs) {
       ExpectMatmulMatchesChain(a, b, s.m, s.k, n);
     }
   }
+}
+
+TEST_F(SimdKernelTest, MatmulStartsEachChainAtItsFirstNonzeroA) {
+  // Row 0 of a is all zero, row 1 zero through the first k tile, row 2
+  // only in its first entry; each zero sits over NaN and infinities in b.
+  // Row 3's only nonzero is a negative a[3, 1] over a row of b that is
+  // +0 and -0: its products are exactly -0 and +0, and the chain onto +0
+  // makes both +0. Narrow and wide outputs, one and several k tiles.
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  for (const int64_t k : {2, 5, 64, 130}) {
+    for (const int64_t n : {1, 8, 63, 64, 65, 66}) {
+      const int64_t m = 4;
+      std::vector<float> a =
+          RandnF32(m * k, 17000 + static_cast<uint64_t>(k));
+      std::vector<float> b =
+          RandnF32(k * n, 18000 + static_cast<uint64_t>(n));
+      for (int64_t kk = 0; kk < k; ++kk) {
+        const bool zero[] = {true, kk < 64, kk == 0, kk != 1};
+        for (int64_t i = 0; i < m; ++i) {
+          if (!zero[i]) continue;
+          a[static_cast<size_t>(i * k + kk)] = kk % 2 ? -0.0f : 0.0f;
+        }
+        if (kk < 64) b[static_cast<size_t>(kk * n)] = kk % 2 ? nan : inf;
+      }
+      a[static_cast<size_t>(3 * k + 1)] = -1.5f;
+      for (int64_t j = 0; j < n; ++j) {
+        b[static_cast<size_t>(n + j)] = j % 2 ? -0.0f : 0.0f;
+      }
+      ExpectMatmulMatchesChain(a, b, m, k, n);
+    }
+  }
+  // With k == 0 the product is the empty sum, +0, on both paths.
+  ForEachTier([&](SimdTier) {
+    for (const int64_t n : {5, 70}) {
+      std::vector<float> out(static_cast<size_t>(2 * n),
+                             std::numeric_limits<float>::quiet_NaN());
+      simd::MatmulRowBlock(nullptr, nullptr, out.data(), 0, 2, 0, n);
+      EXPECT_EQ(FirstBitMismatch(out, std::vector<float>(out.size(), 0.0f)),
+                -1)
+          << "n=" << n;
+    }
+  });
 }
 
 TEST_F(SimdKernelTest, MatmulZeroEntriesKeepAnUnderflowedNegativeZero) {

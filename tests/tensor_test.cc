@@ -1,6 +1,7 @@
 // Tests for the tensor library and its free-function ops.
 
 #include <cmath>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -212,6 +213,25 @@ TEST(TensorOpsTest, MeanAndMaxAbsDiff) {
   Tensor b = Tensor::Vector({1, 2, 7});
   EXPECT_DOUBLE_EQ(Mean(a), 2.0);
   EXPECT_DOUBLE_EQ(MaxAbsDiff(a, b), 4.0);
+}
+
+TEST(TensorOpsTest, MaxAbsDiffCountsANanAgainstANumberAsInfinite) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  // Equal values, same-signed infinities and NaN against NaN count 0.
+  EXPECT_EQ(MaxAbsDiff(Tensor::Vector({1.0f, inf, -inf, nan, 0.0f}),
+                       Tensor::Vector({1.0f, inf, -inf, -nan, -0.0f})),
+            0.0);
+  // A NaN on one side is +inf wherever it sits, before or after a finite
+  // difference; so are opposite infinities.
+  EXPECT_EQ(MaxAbsDiff(Tensor::Vector({nan, 1.0f}),
+                       Tensor::Vector({2.0f, 3.0f})),
+            inf);
+  EXPECT_EQ(MaxAbsDiff(Tensor::Vector({1.0f, 2.0f}),
+                       Tensor::Vector({3.0f, nan})),
+            inf);
+  EXPECT_EQ(MaxAbsDiff(Tensor::Vector({inf}), Tensor::Vector({-inf})), inf);
+  EXPECT_EQ(MaxAbsDiff(Tensor::Vector({inf}), Tensor::Vector({1.0f})), inf);
 }
 
 TEST(TensorOpsTest, AllCloseTolerances) {
