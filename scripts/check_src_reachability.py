@@ -1,38 +1,78 @@
 #!/usr/bin/env python3
-"""Fails when a library translation unit under src/ is linked into no
-program of the build.
+"""Fails when a function defined under src/ is linked into no program.
 
 Usage:
 
-    cmake --build build
-    python3 scripts/check_src_reachability.py build
-    python3 scripts/check_src_reachability.py build --allow-list ''
+    flags=(-DCMAKE_BUILD_TYPE=None "-DCMAKE_CXX_FLAGS=-O0 -ffunction-sections"
+           -DCMAKE_EXE_LINKER_FLAGS=-Wl,--gc-sections)
+    cmake -B build-gc -S . "${flags[@]}" && cmake --build build-gc
+    cmake -B build-gc-e2e -S e2ebench "${flags[@]}"
+    cmake --build build-gc-e2e
+    python3 scripts/check_src_reachability.py build-gc build-gc-e2e
 
-The programs are the non-test executables of the top-level build: the
-tools, the benches and the examples. The linker pulls a static-archive
-member into a program only when the program references one of its
-symbols, so an object under BUILD/src/ that shares no strong global text
-symbol with any program is code that no program runs. Tests do not count:
-code that only its own tests link is dead weight, and deleting it is the
-fix.
+The first build directory is the top-level tree: its src/ objects define
+the library's functions, and its tools, benches and examples are
+programs. Every further build directory contributes all of its
+executables as programs (e2ebench's `e2e_runner`). Use fresh build
+directories: an incremental build keeps the executables of deleted
+programs, and they would count. Tests do not count: code that only its
+own tests call is dead weight, and deleting it or moving it under
+tests/support/ is the fix.
 
-The allow-list names the sources that may stay unreachable on purpose,
-as paths relative to src/. Its only default entry is the autograd graph,
-the reference implementation that tests compare the layers' hand-written
-backward passes against. An allow-list entry that is reachable again, or
-whose object no longer exists, also fails, so the list cannot go stale.
+The check compares two sets of symbols: the strong global text symbols
+(`T`) of every object under BUILD/src/, and the text symbols (`T`, `t`,
+`W`, `w`) of every program. With -ffunction-sections each function sits in
+its own section and --gc-sections drops every section no program
+references, so a program keeps exactly the functions it can call. At -O0
+nothing is inlined away, so a function that is called is present under
+its own name. The script refuses build directories configured without
+these flags, because they would hide dead functions.
 
-Exits 0 when every object is reachable or allow-listed, 1 with the
-offending sources otherwise. Needs `nm` (binutils); uses only the
+EXCEPTIONS names the functions that may stay unreachable on purpose, by
+their qualified name without the parameter list (which covers every
+overload), each with its reason: the ROADMAP item that will call it, or a
+test hook on private state. An exception that is reachable again, or that
+no object defines any more, also fails, so the list cannot go stale.
+
+Exits 0 when every function is reachable or excepted, 1 with the offending
+functions otherwise. Needs `nm` and `c++filt` (binutils); uses only the
 standard library.
 """
 
 import argparse
 import os
+import re
 import subprocess
 import sys
 
-DEFAULT_ALLOW_LIST = "autograd/graph.cc"
+EXCEPTIONS = {
+    "geodp::PrivacyLedger::RecordGaussian":
+        "ROADMAP 3(a): the ledger itemizes every release by mechanism",
+    "geodp::PrivacyLedger::RecordLaplace":
+        "ROADMAP 3(a): the ledger itemizes every release by mechanism",
+    "geodp::PrivacyLedger::ComposedGuarantee":
+        "ROADMAP 3(a): the printed epsilon composes every ledger release",
+    "geodp::PrivacyLedger::OptimalOrder":
+        "ROADMAP 3(a): the printed epsilon composes every ledger release",
+    "geodp::ModelEfficiency": "ROADMAP 5: Theorem 1's efficiency bench",
+    "geodp::SetSimdTier": "test hook on private state",
+    "geodp::AvailableSimdTiers": "test hook on private state",
+    "geodp::FaultInjector::Arm": "test hook on private state",
+    "geodp::FaultInjector::hits": "test hook on private state",
+    "geodp::MetricsRegistry::Reset": "test hook on private state",
+    "geodp::FlightRecorder::Reset": "test hook on private state",
+    "geodp::DisableTracing": "test hook on private state",
+    "geodp::JsonlStepWriter::status": "test hook on private state",
+    "geodp::TrainingStatusPublisher::publish_count":
+        "test hook on private state",
+    "geodp::ImportanceSampler::weight": "test hook on private state",
+    "geodp::LoadCheckpoint":
+        "test hook on private state: reads the format SaveCheckpoint "
+        "writes, kept beside its writer",
+    "geodp::ReadTensor":
+        "test hook on private state: reads the format WriteTensor writes, "
+        "kept beside its writer",
+}
 PROGRAM_DIRS = ("tools", "bench", "examples")
 SRC_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                        os.pardir, "src")
@@ -44,8 +84,8 @@ def fail(message):
 
 
 def defined_symbols(path, types):
-    """Names of the symbols `path` defines whose nm type letter is in
-    `types`."""
+    """Mangled names of the symbols `path` defines whose nm type letter is
+    in `types`."""
     out = subprocess.run(["nm", "--defined-only", "-P", path], check=True,
                          capture_output=True, text=True).stdout
     names = set()
@@ -56,6 +96,47 @@ def defined_symbols(path, types):
     return names
 
 
+def demangle(names):
+    out = subprocess.run(["c++filt"], input="\n".join(names), check=True,
+                         capture_output=True, text=True).stdout
+    return dict(zip(names, out.splitlines()))
+
+
+def qualified_name(demangled):
+    """`ns::Class::Fn(int) const` -> `ns::Class::Fn`."""
+    depth = 0
+    for i, char in enumerate(demangled):
+        if char == "<":
+            depth += 1
+        elif char == ">":
+            depth -= 1
+        elif char == "(" and depth == 0 and i > 0:
+            return demangled[:i]
+    return demangled
+
+
+def check_flags(build_dir):
+    cache = os.path.join(build_dir, "CMakeCache.txt")
+    if not os.path.isfile(cache):
+        fail(f"{build_dir} is not a CMake build directory")
+    with open(cache) as handle:
+        text = handle.read()
+
+    def value(key):
+        match = re.search(rf"^{key}:\w+=(.*)$", text, re.MULTILINE)
+        return match.group(1) if match else ""
+
+    cxx, link = value("CMAKE_CXX_FLAGS"), value("CMAKE_EXE_LINKER_FLAGS")
+    build_type = value("CMAKE_BUILD_TYPE")
+    if ("-O0" not in cxx.split() or "-ffunction-sections" not in cxx.split()
+            or "--gc-sections" not in link
+            or build_type not in ("None", "none")):
+        fail(f"{build_dir} must be configured with CMAKE_BUILD_TYPE=None, "
+             "CMAKE_CXX_FLAGS='-O0 -ffunction-sections' and "
+             "CMAKE_EXE_LINKER_FLAGS=-Wl,--gc-sections "
+             f"(found type '{build_type}', flags '{cxx}' / '{link}')")
+
+
 def is_elf_executable(path):
     if not os.path.isfile(path) or not os.access(path, os.X_OK):
         return False
@@ -63,10 +144,10 @@ def is_elf_executable(path):
         return handle.read(4) == b"\x7fELF"
 
 
-def find_programs(build_dir):
+def find_programs(root_dir, subdirs):
     programs = []
-    for sub in PROGRAM_DIRS:
-        for root, dirs, files in os.walk(os.path.join(build_dir, sub)):
+    for sub in subdirs:
+        for root, dirs, files in os.walk(os.path.join(root_dir, sub)):
             dirs[:] = [d for d in dirs if d != "CMakeFiles"]
             programs += [os.path.join(root, f) for f in files
                          if is_elf_executable(os.path.join(root, f))]
@@ -97,14 +178,17 @@ def find_objects(build_dir):
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("build_dir")
-    parser.add_argument("--allow-list", default=DEFAULT_ALLOW_LIST,
-                        help="comma-separated sources relative to src/ "
-                             f"(default: {DEFAULT_ALLOW_LIST})")
+    parser.add_argument("build_dir", help="the top-level gc-sections build")
+    parser.add_argument("program_build_dirs", nargs="*",
+                        help="further gc-sections builds whose executables "
+                             "are programs (e2ebench's)")
     args = parser.parse_args()
-    allowed = {s for s in args.allow_list.split(",") if s}
 
-    programs = find_programs(args.build_dir)
+    for build_dir in [args.build_dir] + args.program_build_dirs:
+        check_flags(build_dir)
+    programs = find_programs(args.build_dir, PROGRAM_DIRS)
+    for build_dir in args.program_build_dirs:
+        programs += find_programs(build_dir, ("",))
     if not programs:
         fail(f"no executables under {args.build_dir}/"
              f"{{{','.join(PROGRAM_DIRS)}}}")
@@ -116,24 +200,33 @@ def main():
     for program in programs:
         linked |= defined_symbols(program, "TtWw")
 
-    unreachable = []
+    defined = {}
     for source, path in sorted(objects.items()):
-        exported = defined_symbols(path, "T")
-        if exported and not exported & linked:
-            unreachable.append(source)
-    print(f"{len(objects)} objects, {len(programs)} programs, "
-          f"{len(unreachable)} unreachable: {', '.join(unreachable) or '-'}")
+        for symbol in defined_symbols(path, "T"):
+            defined[symbol] = source
+    names = demangle(sorted(defined))
+    unreachable = sorted((defined[s], names[s]) for s in defined
+                         if s not in linked)
+    print(f"{len(defined)} functions in {len(objects)} objects, "
+          f"{len(programs)} programs, {len(unreachable)} unreachable")
 
-    problems = [f"src/{s} is linked into no program" for s in unreachable
-                if s not in allowed]
-    problems += [f"allow-list entry {s} is reachable or gone" for s in
-                 sorted(allowed - set(unreachable))]
+    problems, excepted = [], set()
+    for source, name in unreachable:
+        qualified = qualified_name(name)
+        if qualified in EXCEPTIONS:
+            excepted.add(qualified)
+            print(f"  excepted: src/{source}: {name} "
+                  f"({EXCEPTIONS[qualified]})")
+        else:
+            problems.append(f"src/{source}: {name} is linked into no program")
+    problems += [f"exception {q} is reachable or gone" for q in
+                 sorted(set(EXCEPTIONS) - excepted)]
     for problem in problems:
         print(f"check_src_reachability: {problem}", file=sys.stderr)
     if problems:
-        fail(f"{len(problems)} problem(s); delete the dead code or fix the "
-             "allow-list")
-    print("ok: every other src/ object is linked into some program")
+        fail(f"{len(problems)} problem(s); delete the dead code, move a test "
+             "oracle under tests/support/, or fix the exception list")
+    print("ok: every other src/ function is linked into some program")
 
 
 if __name__ == "__main__":

@@ -18,8 +18,8 @@ std::vector<double> PerExampleLosses(Sequential& model,
   std::vector<double> losses;
   losses.reserve(static_cast<size_t>(limit));
   for (int64_t i = 0; i < limit; ++i) {
-    const Tensor x = dataset.StackImages({i});
-    losses.push_back(loss.Forward(model.Forward(x), {dataset.label(i)}));
+    losses.push_back(loss.Forward(model.Forward(dataset.StackImages({i})),
+                                  {dataset.label(i)}));
   }
   return losses;
 }

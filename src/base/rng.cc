@@ -76,12 +76,6 @@ double Rng::Gaussian(double mean, double stddev) {
   return mean + stddev * Gaussian();
 }
 
-std::vector<double> Rng::GaussianVector(std::size_t n, double stddev) {
-  std::vector<double> samples(n);
-  for (auto& s : samples) s = Gaussian(0.0, stddev);
-  return samples;
-}
-
 double Rng::Laplace(double b) {
   GEODP_CHECK_GT(b, 0.0);
   // Inverse CDF: u in (-1/2, 1/2), x = -b * sign(u) * ln(1 - 2|u|).

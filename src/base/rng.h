@@ -56,9 +56,6 @@ class Rng {
   /// Normal variate with the given mean and stddev.
   double Gaussian(double mean, double stddev);
 
-  /// Vector of n i.i.d. N(0, stddev^2) samples.
-  std::vector<double> GaussianVector(std::size_t n, double stddev);
-
   /// Standard Laplace variate scaled by b (density exp(-|x|/b) / 2b).
   double Laplace(double b);
 

@@ -4,14 +4,10 @@ namespace geodp {
 
 Timer::Timer() : start_(std::chrono::steady_clock::now()) {}
 
-void Timer::Reset() { start_ = std::chrono::steady_clock::now(); }
-
 double Timer::ElapsedSeconds() const {
   const auto now = std::chrono::steady_clock::now();
   return std::chrono::duration<double>(now - start_).count();
 }
-
-double Timer::ElapsedMillis() const { return ElapsedSeconds() * 1e3; }
 
 int64_t Timer::ElapsedMicros() const {
   const auto now = std::chrono::steady_clock::now();

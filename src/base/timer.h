@@ -12,16 +12,10 @@ class Timer {
  public:
   Timer();
 
-  /// Restarts the stopwatch.
-  void Reset();
-
-  /// Seconds elapsed since construction or the last Reset().
+  /// Seconds elapsed since construction.
   double ElapsedSeconds() const;
 
-  /// Milliseconds elapsed since construction or the last Reset().
-  double ElapsedMillis() const;
-
-  /// Microseconds elapsed since construction or the last Reset(), as an
+  /// Microseconds elapsed since construction, as an
   /// integer (trace-event resolution).
   int64_t ElapsedMicros() const;
 

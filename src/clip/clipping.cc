@@ -18,13 +18,6 @@ constexpr int64_t kClipGrain = 4;
 
 void Clipper::OnStep(int64_t /*step*/) {}
 
-Tensor Clipper::Clip(const Tensor& per_sample_gradient) const {
-  const double scale = ClipScale(per_sample_gradient.L2Norm());
-  Tensor out = per_sample_gradient;
-  out.ScaleInPlace(static_cast<float>(scale));
-  return out;
-}
-
 FlatClipper::FlatClipper(double clip_threshold)
     : clip_threshold_(clip_threshold) {
   GEODP_CHECK_GT(clip_threshold_, 0.0);  // geodp: check-ok

@@ -33,15 +33,11 @@ class Clipper {
   /// Must satisfy s(norm) * norm <= clip_threshold().
   virtual double ClipScale(double norm) const = 0;
 
-  /// Returns the clipped copy ClipScale(||g||) * g of a (1-D, flattened)
-  /// per-sample gradient.
-  Tensor Clip(const Tensor& per_sample_gradient) const;
-
   /// Called once per optimizer step; adaptive schemes update internal
   /// schedules here. Default is a no-op.
   virtual void OnStep(int64_t step);
 
-  /// Sensitivity bound C guaranteed by Clip().
+  /// Sensitivity bound C on ||ClipScale(||g||) * g||.
   virtual double clip_threshold() const = 0;
 
   virtual std::string name() const = 0;
@@ -121,8 +117,8 @@ std::unique_ptr<Clipper> MakeClipper(const std::string& name,
 /// of DP-SGD, parallelized across the batch on the global pool: each
 /// ParallelFor chunk accumulates into its own partial sum and the partials
 /// are reduced in chunk order, so the result is bit-identical at any
-/// thread count. Clipper::Clip must be const-thread-safe (all shipped
-/// clippers are: OnStep mutates, Clip only reads). A caller that already
+/// thread count. Clipper::ClipScale must be const-thread-safe (all shipped
+/// clippers are: OnStep mutates, ClipScale only reads). A caller that already
 /// holds each gradient's L2Norm() passes them as `norms` (same order), and
 /// they are not computed again.
 void AccumulateClipped(const std::vector<Tensor>& per_sample_gradients,

@@ -180,10 +180,6 @@ double GeoLaplacePerturber::DirectionNoiseScale(int64_t dimension) const {
                            static_cast<double>(options_.batch_size));
 }
 
-double GeoLaplacePerturber::TotalEpsilon() const {
-  return options_.magnitude_epsilon + options_.direction_epsilon;
-}
-
 NoiseStddevs GeoLaplacePerturber::Stddevs(int64_t dimension) const {
   // Laplace(b) has stddev sqrt(2) * b.
   const double kSqrt2 = std::sqrt(2.0);
@@ -210,14 +206,6 @@ Tensor GeoLaplacePerturber::Perturb(const Tensor& avg_clipped_gradient,
       break;
   }
   return ToCartesian(coords);
-}
-
-std::unique_ptr<Perturber> MakeDpPerturber(PerturbationOptions options) {
-  return std::make_unique<DpPerturber>(options);
-}
-
-std::unique_ptr<Perturber> MakeGeoDpPerturber(GeoDpOptions options) {
-  return std::make_unique<GeoDpPerturber>(options);
 }
 
 }  // namespace geodp

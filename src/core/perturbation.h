@@ -157,19 +157,11 @@ class GeoLaplacePerturber : public Perturber {
   /// Laplace scale per angle: d*beta*pi / (eps_dir * B).
   double DirectionNoiseScale(int64_t dimension) const;
 
-  /// Total pure-DP epsilon of one release (basic composition of the two
-  /// components).
-  double TotalEpsilon() const;
-
   const GeoLaplaceOptions& options() const { return options_; }
 
  private:
   GeoLaplaceOptions options_;
 };
-
-/// Convenience factory for the two paper strategies.
-std::unique_ptr<Perturber> MakeDpPerturber(PerturbationOptions options);
-std::unique_ptr<Perturber> MakeGeoDpPerturber(GeoDpOptions options);
 
 }  // namespace geodp
 

@@ -26,11 +26,6 @@ int64_t InMemoryDataset::label(int64_t i) const {
   return labels_[static_cast<size_t>(i)];
 }
 
-int64_t InMemoryDataset::NumClasses() const {
-  if (labels_.empty()) return 0;
-  return 1 + *std::max_element(labels_.begin(), labels_.end());
-}
-
 Tensor InMemoryDataset::StackImages(const std::vector<int64_t>& indices) const {
   GEODP_CHECK(!indices.empty());
   const Tensor& first = image(indices.front());

@@ -23,9 +23,6 @@ class InMemoryDataset {
   int64_t label(int64_t i) const;
   const std::vector<int64_t>& labels() const { return labels_; }
 
-  /// Number of classes = 1 + max label (0 when empty).
-  int64_t NumClasses() const;
-
   /// Stacks the images at `indices` into one batch tensor
   /// [indices.size(), ...image shape...].
   Tensor StackImages(const std::vector<int64_t>& indices) const;

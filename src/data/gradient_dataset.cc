@@ -77,10 +77,9 @@ GradientDataset HarvestGradientDataset(const GradientDatasetOptions& options) {
     for (int64_t j = 0; j < per_output; ++j) {
       const int64_t index = static_cast<int64_t>(
           rng.UniformInt(static_cast<uint64_t>(dataset.size())));
-      const Tensor x = dataset.StackImages({index});
       const std::vector<int64_t> y = {dataset.label(index)};
       ZeroGradients(params);
-      loss.Forward(model->Forward(x), y);
+      loss.Forward(model->Forward(dataset.StackImages({index})), y);
       model->Backward(loss.Backward());
       const Tensor flat = FlattenGradients(params);
       for (int64_t i = 0; i < flat.numel(); ++i) merged.push_back(flat[i]);

@@ -40,7 +40,8 @@ Tensor MakePrototype(int64_t class_id, const SyntheticImageOptions& options,
         const double blob =
             1.6 * std::exp(-((u - cx) * (u - cx) + (v - cy) * (v - cy)) /
                            (2.0 * blob_scale));
-        proto.at({c, y, x}) = static_cast<float>(0.6 * wave + blob);
+        proto[(c * options.height + y) * options.width + x] =
+            static_cast<float>(0.6 * wave + blob);
       }
     }
   }

@@ -6,14 +6,9 @@
 
 namespace geodp {
 
-/// Noise multiplier sigma such that adding N(0, (sigma * sensitivity)^2)
-/// noise satisfies (epsilon, delta)-DP for epsilon <= 1:
-///   sigma = sqrt(2 ln(1.25/delta)) / epsilon.
-/// (The classic bound; used by the paper's sigma <-> epsilon table.)
-double GaussianSigmaForEpsilonDelta(double epsilon, double delta);
-
-/// Inverse of the calibration above: the epsilon obtained from a given
-/// noise multiplier at a given delta.
+/// The epsilon a noise multiplier sigma gives at delta under the classic
+/// Gaussian-mechanism bound sigma = sqrt(2 ln(1.25/delta)) / epsilon
+/// (valid for epsilon <= 1; used by the paper's sigma <-> epsilon table).
 double GaussianEpsilonForSigma(double sigma, double delta);
 
 }  // namespace geodp

@@ -4,14 +4,12 @@
 
 namespace geodp {
 
-Tensor ReLU::Forward(const Tensor& input) { return ForwardOwned(input); }
-
 // ReLU selects instead of branching: on sign-random inputs a branch per
 // element mispredicts about half the time. NaN compares false, so it maps
 // like a negative input. The element count is read once: a byte store
 // may alias anything, so a count read per iteration would be reloaded
 // after every mask store and keep the loop from vectorizing.
-Tensor ReLU::ForwardOwned(Tensor input) {
+Tensor ReLU::Forward(Tensor input) {
   const int64_t n = input.numel();
   input_shape_ = input.shape();
   mask_.resize(static_cast<size_t>(n));

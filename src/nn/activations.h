@@ -16,9 +16,8 @@ class ReLU : public Layer {
  public:
   ReLU() = default;
 
-  Tensor Forward(const Tensor& input) override;
   // Selects in place: the output is written over the input.
-  Tensor ForwardOwned(Tensor input) override;
+  Tensor Forward(Tensor input) override;
   Tensor Backward(const Tensor& grad_output) override;
   std::string name() const override { return "ReLU"; }
 

@@ -9,13 +9,12 @@
 namespace geodp {
 
 Conv2d::Conv2d(int64_t in_channels, int64_t out_channels, int64_t kernel_size,
-               Rng& rng, int64_t padding, bool with_bias, ConvImpl impl)
+               Rng& rng, int64_t padding, bool with_bias)
     : in_channels_(in_channels),
       out_channels_(out_channels),
       kernel_size_(kernel_size),
       padding_(padding),
       with_bias_(with_bias),
-      impl_(impl),
       weight_("weight",
               KaimingUniform({out_channels, in_channels, kernel_size,
                               kernel_size},
@@ -30,15 +29,8 @@ Conv2d::Conv2d(int64_t in_channels, int64_t out_channels, int64_t kernel_size,
   GEODP_CHECK_GE(padding_, 0);
 }
 
-Tensor Conv2d::Forward(const Tensor& input) {
-  return impl_ == ConvImpl::kIm2Col ? ForwardIm2Col(input)
-                                    : ForwardDirect(input);
-}
-
 Tensor Conv2d::Backward(const Tensor& grad_output) {
-  return impl_ == ConvImpl::kIm2Col
-             ? BackwardIm2Col(grad_output, /*input_grad=*/true)
-             : BackwardDirect(grad_output);
+  return BackwardPass(grad_output, /*input_grad=*/true);
 }
 
 Tensor Conv2d::GhostBackward(
@@ -54,17 +46,14 @@ void Conv2d::BackwardParameters(
   if (ghost_norm_sq != nullptr) {  // geodp: per-sample
     GhostPass(grad_output, *ghost_norm_sq,  // geodp: per-sample
               /*input_grad=*/false);
-  } else if (impl_ == ConvImpl::kIm2Col) {
-    BackwardIm2Col(grad_output, /*input_grad=*/false);
   } else {
-    BackwardDirect(grad_output);
+    BackwardPass(grad_output, /*input_grad=*/false);
   }
 }
 
-Tensor Conv2d::ForwardIm2Col(const Tensor& input) {
+Tensor Conv2d::Forward(Tensor input) {
   GEODP_CHECK_EQ(input.ndim(), 4);
   GEODP_CHECK_EQ(input.dim(1), in_channels_);
-  cached_input_ = input;
   const int64_t batch = input.dim(0);
   const int64_t in_h = input.dim(2), in_w = input.dim(3);
   const int64_t out_h = in_h + 2 * padding_ - kernel_size_ + 1;
@@ -92,10 +81,11 @@ Tensor Conv2d::ForwardIm2Col(const Tensor& input) {
       for (int64_t i = 0; i < spatial; ++i) out[oc * spatial + i] += bias;
     }
   }
+  cached_input_ = std::move(input);
   return output;
 }
 
-Tensor Conv2d::BackwardIm2Col(const Tensor& grad_output, bool input_grad) {
+Tensor Conv2d::BackwardPass(const Tensor& grad_output, bool input_grad) {
   GEODP_CHECK_EQ(grad_output.ndim(), 4);
   const Tensor& input = cached_input_;
   const int64_t batch = input.dim(0);
@@ -154,100 +144,6 @@ Tensor Conv2d::BackwardIm2Col(const Tensor& grad_output, bool input_grad) {
   }
   simd::Add(weight_.grad.data(), weight_grad_matrix_.data(),
             weight_grad_matrix_.numel());
-  return grad_input;
-}
-
-Tensor Conv2d::ForwardDirect(const Tensor& input) {
-  GEODP_CHECK_EQ(input.ndim(), 4);
-  GEODP_CHECK_EQ(input.dim(1), in_channels_);
-  cached_input_ = input;
-  const int64_t batch = input.dim(0);
-  const int64_t in_h = input.dim(2), in_w = input.dim(3);
-  const int64_t out_h = in_h + 2 * padding_ - kernel_size_ + 1;
-  const int64_t out_w = in_w + 2 * padding_ - kernel_size_ + 1;
-  GEODP_CHECK_GT(out_h, 0);
-  GEODP_CHECK_GT(out_w, 0);
-
-  Tensor output({batch, out_channels_, out_h, out_w});
-  const float* x = input.data();
-  const float* w = weight_.value.data();
-  float* y = output.data();
-  const int64_t k = kernel_size_;
-
-  for (int64_t b = 0; b < batch; ++b) {
-    for (int64_t oc = 0; oc < out_channels_; ++oc) {
-      const float bias = with_bias_ ? bias_.value[oc] : 0.0f;
-      for (int64_t oh = 0; oh < out_h; ++oh) {
-        for (int64_t ow = 0; ow < out_w; ++ow) {
-          double acc = bias;
-          for (int64_t ic = 0; ic < in_channels_; ++ic) {
-            for (int64_t kh = 0; kh < k; ++kh) {
-              const int64_t ih = oh + kh - padding_;
-              if (ih < 0 || ih >= in_h) continue;
-              for (int64_t kw = 0; kw < k; ++kw) {
-                const int64_t iw = ow + kw - padding_;
-                if (iw < 0 || iw >= in_w) continue;
-                acc += static_cast<double>(
-                           x[((b * in_channels_ + ic) * in_h + ih) * in_w +
-                             iw]) *
-                       static_cast<double>(
-                           w[((oc * in_channels_ + ic) * k + kh) * k + kw]);
-              }
-            }
-          }
-          y[((b * out_channels_ + oc) * out_h + oh) * out_w + ow] =
-              static_cast<float>(acc);
-        }
-      }
-    }
-  }
-  return output;
-}
-
-Tensor Conv2d::BackwardDirect(const Tensor& grad_output) {
-  GEODP_CHECK_EQ(grad_output.ndim(), 4);
-  const Tensor& input = cached_input_;
-  const int64_t batch = input.dim(0);
-  const int64_t in_h = input.dim(2), in_w = input.dim(3);
-  const int64_t out_h = grad_output.dim(2), out_w = grad_output.dim(3);
-  GEODP_CHECK_EQ(grad_output.dim(0), batch);
-  GEODP_CHECK_EQ(grad_output.dim(1), out_channels_);
-
-  Tensor grad_input(input.shape());
-  const float* x = input.data();
-  const float* w = weight_.value.data();
-  const float* gy = grad_output.data();
-  float* gx = grad_input.data();
-  float* gw = weight_.grad.data();
-  const int64_t k = kernel_size_;
-
-  for (int64_t b = 0; b < batch; ++b) {
-    for (int64_t oc = 0; oc < out_channels_; ++oc) {
-      for (int64_t oh = 0; oh < out_h; ++oh) {
-        for (int64_t ow = 0; ow < out_w; ++ow) {
-          const float g =
-              gy[((b * out_channels_ + oc) * out_h + oh) * out_w + ow];
-          if (g == 0.0f) continue;
-          if (with_bias_) bias_.grad[oc] += g;
-          for (int64_t ic = 0; ic < in_channels_; ++ic) {
-            for (int64_t kh = 0; kh < k; ++kh) {
-              const int64_t ih = oh + kh - padding_;
-              if (ih < 0 || ih >= in_h) continue;
-              for (int64_t kw = 0; kw < k; ++kw) {
-                const int64_t iw = ow + kw - padding_;
-                if (iw < 0 || iw >= in_w) continue;
-                const int64_t xi =
-                    ((b * in_channels_ + ic) * in_h + ih) * in_w + iw;
-                const int64_t wi = ((oc * in_channels_ + ic) * k + kh) * k + kw;
-                gw[wi] += g * x[xi];
-                gx[xi] += g * w[wi];
-              }
-            }
-          }
-        }
-      }
-    }
-  }
   return grad_input;
 }
 
@@ -310,7 +206,7 @@ Tensor Conv2d::GhostPass(
     }
     ghost_norm_sq[static_cast<size_t>(b)] += norm_sq;  // geodp: per-sample
 
-    // dL/dinput exactly as BackwardIm2Col computes it (no parameter
+    // dL/dinput exactly as BackwardPass computes it (no parameter
     // gradients are touched in this pass).
     if (!input_grad) continue;
     simd::MatmulRowBlock(weight_t_.data(), gy, grad_cols.data(), 0, kk,

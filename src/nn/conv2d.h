@@ -11,38 +11,28 @@
 
 namespace geodp {
 
-/// Which convolution algorithm Conv2d uses.
-enum class ConvImpl {
-  kDirect,  // reference nested loops; easy to audit
-  kIm2Col,  // lowering to matmul (nn/im2col.h); faster, default
-};
-
 /// Convolution mapping [B, in_channels, H, W] ->
-/// [B, out_channels, H - k + 1 + 2p, W - k + 1 + 2p] with square kernels.
-/// Two interchangeable implementations (tested to be bit-identical up to
-/// float accumulation order): direct loops and im2col+matmul.
+/// [B, out_channels, H - k + 1 + 2p, W - k + 1 + 2p] with square kernels,
+/// lowered to matrix products by im2col (nn/im2col.h).
 class Conv2d : public Layer {
  public:
   Conv2d(int64_t in_channels, int64_t out_channels, int64_t kernel_size,
-         Rng& rng, int64_t padding = 0, bool with_bias = true,
-         ConvImpl impl = ConvImpl::kIm2Col);
+         Rng& rng, int64_t padding = 0, bool with_bias = true);
 
-  Tensor Forward(const Tensor& input) override;
+  Tensor Forward(Tensor input) override;
   Tensor Backward(const Tensor& grad_output) override;
   std::vector<Parameter*> Parameters() override;
 
   // Ghost clipping via the im2col unfolding: sample b's weight gradient
   // is G_b = gy_b cols_b^T ([OC, IC*K*K]) — tiny next to a whole-model
   // per-sample gradient — so its norm is taken and G_b discarded, then a
-  // second weighted pass accumulates. Works for both ConvImpl choices
-  // (the gradient is implementation-independent).
+  // second weighted pass accumulates.
   bool SupportsGhostClip() override { return true; }
   Tensor GhostBackward(
       const Tensor& grad_output,
       std::vector<double>& ghost_norm_sq) override;  // geodp: per-sample
   void GhostAccumulate(const std::vector<double>& weights) override;
-  // Skips each sample's W^T gy and Col2Im (im2col and ghost passes; the
-  // direct loops compute dX alongside dW and run in full).
+  // Skips each sample's W^T gy and Col2Im.
   void BackwardParameters(
       const Tensor& grad_output,
       std::vector<double>* ghost_norm_sq) override;  // geodp: per-sample
@@ -53,15 +43,11 @@ class Conv2d : public Layer {
   int64_t out_channels() const { return out_channels_; }
   int64_t kernel_size() const { return kernel_size_; }
   int64_t padding() const { return padding_; }
-  ConvImpl impl() const { return impl_; }
 
  private:
-  Tensor ForwardDirect(const Tensor& input);
-  Tensor BackwardDirect(const Tensor& grad_output);
-  Tensor ForwardIm2Col(const Tensor& input);
   // With input_grad false these return an empty tensor and skip the
   // input gradient.
-  Tensor BackwardIm2Col(const Tensor& grad_output, bool input_grad);
+  Tensor BackwardPass(const Tensor& grad_output, bool input_grad);
   Tensor GhostPass(const Tensor& grad_output,
                    std::vector<double>& ghost_norm_sq,  // geodp: per-sample
                    bool input_grad);
@@ -71,11 +57,10 @@ class Conv2d : public Layer {
   int64_t kernel_size_;
   int64_t padding_;
   bool with_bias_;
-  ConvImpl impl_;
   Parameter weight_;  // [OC, IC, K, K]
   Parameter bias_;    // [OC]
   Tensor cached_input_;
-  // Per-sample scratch of the im2col path, reused across samples and calls:
+  // Per-sample scratch, reused across samples and calls:
   // one sample's unfold [IC*K*K, OH*OW] (the forward's; it keeps the last
   // sample's for the backward), its transpose [OH*OW, IC*K*K], its weight
   // gradient [OC, IC*K*K] and its input gradient's columns [IC*K*K, OH*OW].
@@ -83,7 +68,7 @@ class Conv2d : public Layer {
   Tensor columns_t_;
   Tensor product_;
   Tensor grad_columns_;
-  // Per-call scratch of the im2col and ghost backward passes: W^T
+  // Per-call scratch of the backward and ghost passes: W^T
   // [IC*K*K, OC] and the batch's weight gradient [OC, IC*K*K] before it
   // joins the parameter's.
   Tensor weight_t_;

@@ -4,7 +4,7 @@
 
 namespace geodp {
 
-Tensor Flatten::Forward(const Tensor& input) {
+Tensor Flatten::Forward(Tensor input) {
   GEODP_CHECK_GE(input.ndim(), 2);
   input_shape_ = input.shape();
   return input.Reshape({input.dim(0), -1});

@@ -15,7 +15,7 @@ class Flatten : public Layer {
  public:
   Flatten() = default;
 
-  Tensor Forward(const Tensor& input) override;
+  Tensor Forward(Tensor input) override;
   Tensor Backward(const Tensor& grad_output) override;
   std::string name() const override { return "Flatten"; }
 

@@ -7,24 +7,6 @@
 
 namespace geodp {
 
-Tensor Im2Col(const Tensor& image, int64_t kernel_size, int64_t padding) {
-  GEODP_CHECK_EQ(image.ndim(), 3);
-  GEODP_CHECK_GT(kernel_size, 0);
-  GEODP_CHECK_GE(padding, 0);
-  const int64_t channels = image.dim(0);
-  const int64_t height = image.dim(1);
-  const int64_t width = image.dim(2);
-  const int64_t out_h = height + 2 * padding - kernel_size + 1;
-  const int64_t out_w = width + 2 * padding - kernel_size + 1;
-  GEODP_CHECK_GT(out_h, 0);
-  GEODP_CHECK_GT(out_w, 0);
-
-  Tensor columns({channels * kernel_size * kernel_size, out_h * out_w});
-  Im2ColInto(image.data(), channels, height, width, kernel_size, padding,
-             columns.data());
-  return columns;
-}
-
 namespace {
 
 // Each output element is either a copy of one image element or the
@@ -118,20 +100,6 @@ void Im2ColTransposedInto(const float* image, int64_t channels,
                           int64_t padding, float* columns_t) {
   (kernel_size == 3 ? Im2ColTransposedRows<3> : Im2ColTransposedRows<0>)(
       image, channels, height, width, kernel_size, padding, columns_t);
-}
-
-Tensor Col2Im(const Tensor& columns, int64_t channels, int64_t height,
-              int64_t width, int64_t kernel_size, int64_t padding) {
-  GEODP_CHECK_EQ(columns.ndim(), 2);
-  const int64_t out_h = height + 2 * padding - kernel_size + 1;
-  const int64_t out_w = width + 2 * padding - kernel_size + 1;
-  GEODP_CHECK_EQ(columns.dim(0), channels * kernel_size * kernel_size);
-  GEODP_CHECK_EQ(columns.dim(1), out_h * out_w);
-
-  Tensor image({channels, height, width});
-  Col2ImInto(columns.data(), channels, height, width, kernel_size, padding,
-             image.data());
-  return image;
 }
 
 void Col2ImInto(const float* columns, int64_t channels, int64_t height,

@@ -23,10 +23,9 @@ Linear::Linear(int64_t in_features, int64_t out_features, Rng& rng,
   GEODP_CHECK_GT(out_features_, 0);
 }
 
-Tensor Linear::Forward(const Tensor& input) {
+Tensor Linear::Forward(Tensor input) {
   GEODP_CHECK_EQ(input.ndim(), 2);
   GEODP_CHECK_EQ(input.dim(1), in_features_);
-  cached_input_ = input;
   const int64_t batch = input.dim(0);
   // y[b, o] = sum_i x[b, i] * W[o, i] + bias[o]
   TransposeInto(weight_.value.data(), out_features_, in_features_,
@@ -39,6 +38,7 @@ Tensor Linear::Forward(const Tensor& input) {
       }
     }
   }
+  cached_input_ = std::move(input);
   return output;
 }
 

@@ -18,7 +18,7 @@ class Linear : public Layer {
   Linear(int64_t in_features, int64_t out_features, Rng& rng,
          bool with_bias = true);
 
-  Tensor Forward(const Tensor& input) override;
+  Tensor Forward(Tensor input) override;
   Tensor Backward(const Tensor& grad_output) override;
   std::vector<Parameter*> Parameters() override;
 

@@ -20,11 +20,10 @@ class Layer {
   virtual ~Layer() = default;
 
   /// Computes the layer output for a batch; caches state for Backward.
-  virtual Tensor Forward(const Tensor& input) = 0;
-
-  /// Forward for a caller that has no further use for `input`: a layer may
-  /// write its output over it. Defaults to Forward(input).
-  virtual Tensor ForwardOwned(Tensor input) { return Forward(input); }
+  /// The layer owns `input`: it may keep it for Backward or write its
+  /// output over it, so a caller that reads its input afterwards passes a
+  /// copy.
+  virtual Tensor Forward(Tensor input) = 0;
 
   /// Given dL/d(output), accumulates parameter gradients and returns
   /// dL/d(input). Must be called after a matching Forward.

@@ -9,7 +9,7 @@ MaxPool2d::MaxPool2d(int64_t window) : window_(window) {
   GEODP_CHECK_GT(window_, 0);
 }
 
-Tensor MaxPool2d::Forward(const Tensor& input) {
+Tensor MaxPool2d::Forward(Tensor input) {
   GEODP_CHECK_EQ(input.ndim(), 4);
   const int64_t batch = input.dim(0), channels = input.dim(1);
   const int64_t in_h = input.dim(2), in_w = input.dim(3);
@@ -67,7 +67,7 @@ Tensor MaxPool2d::Backward(const Tensor& grad_output) {
   return grad_input;
 }
 
-Tensor GlobalAvgPool::Forward(const Tensor& input) {
+Tensor GlobalAvgPool::Forward(Tensor input) {
   GEODP_CHECK_EQ(input.ndim(), 4);
   const int64_t batch = input.dim(0), channels = input.dim(1);
   const int64_t spatial = input.dim(2) * input.dim(3);

@@ -16,7 +16,7 @@ class MaxPool2d : public Layer {
  public:
   explicit MaxPool2d(int64_t window);
 
-  Tensor Forward(const Tensor& input) override;
+  Tensor Forward(Tensor input) override;
   Tensor Backward(const Tensor& grad_output) override;
   std::string name() const override { return "MaxPool2d"; }
 
@@ -31,7 +31,7 @@ class GlobalAvgPool : public Layer {
  public:
   GlobalAvgPool() = default;
 
-  Tensor Forward(const Tensor& input) override;
+  Tensor Forward(Tensor input) override;
   Tensor Backward(const Tensor& grad_output) override;
   std::string name() const override { return "GlobalAvgPool"; }
 

@@ -9,11 +9,13 @@ ResidualBlock::ResidualBlock(int64_t channels, Rng& rng)
     : conv1_(channels, channels, /*kernel_size=*/3, rng, /*padding=*/1),
       conv2_(channels, channels, /*kernel_size=*/3, rng, /*padding=*/1) {}
 
-Tensor ResidualBlock::Forward(const Tensor& input) {
-  Tensor branch = conv2_.Forward(relu1_.Forward(conv1_.Forward(input)));
+// The branch gets a copy of the input, which the skip connection reads.
+Tensor ResidualBlock::Forward(Tensor input) {
+  Tensor branch =
+      conv2_.Forward(relu1_.Forward(conv1_.Forward(Tensor(input))));
   GEODP_CHECK(SameShape(branch, input));
   branch.AddInPlace(input);
-  return relu_out_.Forward(branch);
+  return relu_out_.Forward(std::move(branch));
 }
 
 Tensor ResidualBlock::Backward(const Tensor& grad_output) {

@@ -22,7 +22,7 @@ class ResidualBlock : public Layer {
  public:
   ResidualBlock(int64_t channels, Rng& rng);
 
-  Tensor Forward(const Tensor& input) override;
+  Tensor Forward(Tensor input) override;
   Tensor Backward(const Tensor& grad_output) override;
   std::vector<Parameter*> Parameters() override;
   std::string name() const override { return "ResidualBlock"; }

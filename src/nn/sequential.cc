@@ -10,15 +10,11 @@ Sequential& Sequential::Add(std::unique_ptr<Layer> layer) {
   return *this;
 }
 
-// The first layer reads the caller's input; each later one owns the
-// activation it is given, which nothing reads afterwards.
-Tensor Sequential::Forward(const Tensor& input) {
-  if (layers_.empty()) return input;
-  Tensor activation = layers_.front()->Forward(input);
-  for (size_t i = 1; i < layers_.size(); ++i) {
-    activation = layers_[i]->ForwardOwned(std::move(activation));
-  }
-  return activation;
+// Each layer owns the activation it is given, which nothing reads
+// afterwards.
+Tensor Sequential::Forward(Tensor input) {
+  for (auto& layer : layers_) input = layer->Forward(std::move(input));
+  return input;
 }
 
 Tensor Sequential::Backward(const Tensor& grad_output) {

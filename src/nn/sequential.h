@@ -28,7 +28,7 @@ class Sequential : public Layer {
     return Add(std::make_unique<LayerT>(std::forward<Args>(args)...));
   }
 
-  Tensor Forward(const Tensor& input) override;
+  Tensor Forward(Tensor input) override;
   Tensor Backward(const Tensor& grad_output) override;
   /// The backward walk of a training step: runs the layers in reverse down
   /// to the first one that owns parameters, which gets BackwardParameters

@@ -3,10 +3,8 @@
 #include <array>
 #include <cstdio>
 #include <cstdlib>
-#include <sstream>
 
 #include "base/check.h"
-#include "base/io/file_io.h"
 
 namespace geodp {
 
@@ -57,18 +55,6 @@ void MetricsRegistry::ObserveHistogram(const std::string& name,
   histogram.sum += value;
 }
 
-int64_t MetricsRegistry::counter(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = counters_.find(name);
-  return it == counters_.end() ? 0 : it->second;
-}
-
-double MetricsRegistry::gauge(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = gauges_.find(name);
-  return it == gauges_.end() ? 0.0 : it->second;
-}
-
 double HistogramQuantile(const HistogramSnapshot& snapshot, double q) {
   if (snapshot.count <= 0 || snapshot.upper_bounds.empty()) return 0.0;
   if (q < 0.0) q = 0.0;
@@ -106,19 +92,6 @@ void FillQuantiles(HistogramSnapshot& snapshot) {
 
 }  // namespace
 
-HistogramSnapshot MetricsRegistry::histogram(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  HistogramSnapshot snapshot;
-  auto it = histograms_.find(name);
-  if (it == histograms_.end()) return snapshot;
-  snapshot.upper_bounds = it->second.upper_bounds;
-  snapshot.counts = it->second.counts;
-  snapshot.count = it->second.count;
-  snapshot.sum = it->second.sum;
-  FillQuantiles(snapshot);
-  return snapshot;
-}
-
 RegistrySnapshot MetricsRegistry::Snapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
   RegistrySnapshot snapshot;
@@ -133,41 +106,6 @@ RegistrySnapshot MetricsRegistry::Snapshot() const {
     FillQuantiles(out);
   }
   return snapshot;
-}
-
-std::string MetricsRegistry::ToJsonl() const {
-  const RegistrySnapshot snapshot = Snapshot();
-  std::ostringstream out;
-  for (const auto& [name, value] : snapshot.counters) {
-    out << "{\"type\":\"counter\",\"name\":\"" << name << "\",\"value\":"
-        << value << "}\n";
-  }
-  for (const auto& [name, value] : snapshot.gauges) {
-    out << "{\"type\":\"gauge\",\"name\":\"" << name << "\",\"value\":"
-        << FormatDouble(value) << "}\n";
-  }
-  for (const auto& [name, histogram] : snapshot.histograms) {
-    out << "{\"type\":\"histogram\",\"name\":\"" << name << "\",\"bounds\":[";
-    for (size_t i = 0; i < histogram.upper_bounds.size(); ++i) {
-      if (i > 0) out << ",";
-      out << FormatDouble(histogram.upper_bounds[i]);
-    }
-    out << "],\"counts\":[";
-    for (size_t i = 0; i < histogram.counts.size(); ++i) {
-      if (i > 0) out << ",";
-      out << histogram.counts[i];
-    }
-    out << "],\"count\":" << histogram.count << ",\"sum\":"
-        << FormatDouble(histogram.sum) << ",\"p50\":"
-        << FormatDouble(histogram.p50) << ",\"p95\":"
-        << FormatDouble(histogram.p95) << ",\"p99\":"
-        << FormatDouble(histogram.p99) << "}\n";
-  }
-  return out.str();
-}
-
-Status MetricsRegistry::WriteJsonl(const std::string& path) const {
-  return AtomicWriteFile(path, ToJsonl(), RetryPolicy{}, "obs.metrics_jsonl");
 }
 
 void MetricsRegistry::Reset() {

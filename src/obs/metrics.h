@@ -1,10 +1,9 @@
 // Thread-safe metrics registry: named counters, gauges, and fixed-bucket
-// histograms with deterministic JSONL export. Components record into the
-// process-wide registry (MetricsRegistry::Global()); the export walks the
-// metrics in name order and formats every number with a shortest
-// round-trip representation, so two runs that produce bit-identical
-// values produce byte-identical JSONL — the property the thread-count
-// determinism tests assert.
+// histograms. Components record into the process-wide registry
+// (MetricsRegistry::Global()); snapshots list the metrics in name order,
+// and the exposition formats every number with a shortest round-trip
+// representation, so two runs that produce bit-identical values produce
+// byte-identical output.
 
 #ifndef GEODP_OBS_METRICS_H_
 #define GEODP_OBS_METRICS_H_
@@ -14,8 +13,6 @@
 #include <mutex>
 #include <string>
 #include <vector>
-
-#include "base/status.h"
 
 namespace geodp {
 
@@ -33,7 +30,7 @@ struct HistogramSnapshot {
   int64_t count = 0;
   double sum = 0.0;
   // HistogramQuantile(*this, q) for q = 0.5 / 0.95 / 0.99, filled at
-  // snapshot time. Shared by the JSONL export and the /metrics exposition.
+  // snapshot time for the /metrics exposition.
   double p50 = 0.0;
   double p95 = 0.0;
   double p99 = 0.0;
@@ -79,24 +76,10 @@ class MetricsRegistry {
   void ObserveHistogram(const std::string& name,
                         const std::vector<double>& upper_bounds, double value);
 
-  int64_t counter(const std::string& name) const;
-  double gauge(const std::string& name) const;
-  HistogramSnapshot histogram(const std::string& name) const;
-
   /// Copies every metric out under the lock. The introspection server
   /// formats from snapshots so exposition never holds the registry mutex
   /// while rendering.
   RegistrySnapshot Snapshot() const;
-
-  /// One JSON object per line, metrics sorted by (type, name):
-  ///   {"type":"counter","name":...,"value":...}
-  ///   {"type":"gauge","name":...,"value":...}
-  ///   {"type":"histogram","name":...,"bounds":[...],"counts":[...],
-  ///    "count":...,"sum":...,"p50":...,"p95":...,"p99":...}
-  std::string ToJsonl() const;
-
-  /// Writes ToJsonl() to `path` (overwriting).
-  Status WriteJsonl(const std::string& path) const;
 
   /// Drops every metric (tests and between-experiment hygiene).
   void Reset();

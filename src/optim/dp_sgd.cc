@@ -148,9 +148,9 @@ double EvaluateMeanLoss(Sequential& model, const InMemoryDataset& dataset,
     const int64_t count = std::min(batch_size, limit - done);
     std::vector<int64_t> indices(static_cast<size_t>(count));
     for (int64_t i = 0; i < count; ++i) indices[static_cast<size_t>(i)] = done + i;
-    const Tensor x = dataset.StackImages(indices);
     const std::vector<int64_t> y = dataset.GatherLabels(indices);
-    total += loss.Forward(model.Forward(x), y) * static_cast<double>(count);
+    total += loss.Forward(model.Forward(dataset.StackImages(indices)), y) *
+             static_cast<double>(count);
     done += count;
   }
   return total / static_cast<double>(limit);

@@ -34,9 +34,8 @@ PrivateBatchGradient ComputeGhostClippedGradients(
   {
     const TraceSpan span("step.ghost_forward_backward");
     ZeroGradients(params);
-    const Tensor x = dataset.StackImages(indices);
     const std::vector<int64_t> y = dataset.GatherLabels(indices);
-    loss.Forward(model.Forward(x), y);
+    loss.Forward(model.Forward(dataset.StackImages(indices)), y);
     model.BackwardParameters(loss.BackwardSum(),
                              &ghost_norm_sq);  // geodp: per-sample
   }

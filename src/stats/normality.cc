@@ -39,9 +39,4 @@ NormalityReport AnalyzeNormality(const std::vector<double>& samples) {
   return report;
 }
 
-bool LooksGaussian(const NormalityReport& report, double tolerance) {
-  return std::fabs(report.skewness) < tolerance &&
-         std::fabs(report.excess_kurtosis) < tolerance;
-}
-
 }  // namespace geodp

@@ -24,11 +24,6 @@ struct NormalityReport {
 /// Computes the report. Requires at least 4 samples and non-zero variance.
 NormalityReport AnalyzeNormality(const std::vector<double>& samples);
 
-/// Convenience: true if |skewness| and |excess kurtosis| are both below
-/// `tolerance` (a pragmatic normality check for tests/benches, not a
-/// formal hypothesis test).
-bool LooksGaussian(const NormalityReport& report, double tolerance = 0.5);
-
 }  // namespace geodp
 
 #endif  // GEODP_STATS_NORMALITY_H_

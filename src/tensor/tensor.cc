@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <numeric>
-#include <sstream>
 
 #include "base/simd/kernels.h"
 
@@ -44,12 +43,6 @@ Tensor Tensor::Zeros(std::vector<int64_t> shape) {
   return Tensor(std::move(shape));
 }
 
-Tensor Tensor::Full(std::vector<int64_t> shape, float value) {
-  Tensor t(std::move(shape));
-  t.Fill(value);
-  return t;
-}
-
 Tensor Tensor::Randn(std::vector<int64_t> shape, Rng& rng, float stddev) {
   Tensor t(std::move(shape));
   for (int64_t i = 0; i < t.numel(); ++i) {
@@ -70,26 +63,6 @@ Tensor Tensor::RandUniform(std::vector<int64_t> shape, Rng& rng, float lo,
 int64_t Tensor::dim(int i) const {
   GEODP_CHECK(i >= 0 && i < ndim()) << "dim index " << i << " out of range";
   return shape_[static_cast<size_t>(i)];
-}
-
-int64_t Tensor::FlatIndex(std::initializer_list<int64_t> index) const {
-  GEODP_CHECK_EQ(static_cast<int>(index.size()), ndim());
-  int64_t flat = 0;
-  int axis = 0;
-  for (int64_t i : index) {
-    GEODP_DCHECK(i >= 0 && i < shape_[static_cast<size_t>(axis)]);
-    flat = flat * shape_[static_cast<size_t>(axis)] + i;
-    ++axis;
-  }
-  return flat;
-}
-
-float& Tensor::at(std::initializer_list<int64_t> index) {
-  return data_[static_cast<size_t>(FlatIndex(index))];
-}
-
-float Tensor::at(std::initializer_list<int64_t> index) const {
-  return data_[static_cast<size_t>(FlatIndex(index))];
 }
 
 Tensor Tensor::Reshape(std::vector<int64_t> new_shape) const {
@@ -140,30 +113,6 @@ void Tensor::AxpyInPlace(float alpha, const Tensor& x) {
 
 double Tensor::L2Norm() const {
   return std::sqrt(simd::SumSquares(data_.data(), numel()));
-}
-
-double Tensor::Sum() const {
-  double sum = 0.0;
-  for (float v : data_) sum += static_cast<double>(v);
-  return sum;
-}
-
-std::string Tensor::DebugString(int64_t max_elements) const {
-  std::ostringstream out;
-  out << "Tensor([";
-  for (size_t i = 0; i < shape_.size(); ++i) {
-    if (i) out << ", ";
-    out << shape_[i];
-  }
-  out << "], [";
-  const int64_t n = std::min<int64_t>(numel(), max_elements);
-  for (int64_t i = 0; i < n; ++i) {
-    if (i) out << ", ";
-    out << data_[static_cast<size_t>(i)];
-  }
-  if (numel() > n) out << ", ...";
-  out << "])";
-  return out.str();
 }
 
 bool SameShape(const Tensor& a, const Tensor& b) {

@@ -10,8 +10,6 @@
 #define GEODP_TENSOR_TENSOR_H_
 
 #include <cstdint>
-#include <initializer_list>
-#include <string>
 #include <vector>
 
 #include "base/check.h"
@@ -42,7 +40,6 @@ class Tensor {
   static Tensor Vector(std::vector<float> data);
 
   static Tensor Zeros(std::vector<int64_t> shape);
-  static Tensor Full(std::vector<int64_t> shape, float value);
 
   /// I.i.d. N(0, stddev^2) entries.
   static Tensor Randn(std::vector<int64_t> shape, Rng& rng,
@@ -71,10 +68,6 @@ class Tensor {
     return data_[static_cast<size_t>(i)];
   }
 
-  /// Multi-index access, e.g. t.at({row, col}).
-  float& at(std::initializer_list<int64_t> index);
-  float at(std::initializer_list<int64_t> index) const;
-
   /// Returns a copy with a new shape; element count must match. A -1 extent
   /// is inferred from the remaining dimensions.
   Tensor Reshape(std::vector<int64_t> new_shape) const;
@@ -99,15 +92,7 @@ class Tensor {
   /// Euclidean (L2) norm of the flattened tensor.
   double L2Norm() const;
 
-  /// Sum of all elements.
-  double Sum() const;
-
-  /// "Tensor([2, 3], [...first elements...])" for debugging.
-  std::string DebugString(int64_t max_elements = 8) const;
-
  private:
-  int64_t FlatIndex(std::initializer_list<int64_t> index) const;
-
   std::vector<int64_t> shape_;
   std::vector<float> data_;
 };

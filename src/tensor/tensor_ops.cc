@@ -1,8 +1,6 @@
 #include "tensor/tensor_ops.h"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
 
 #include "base/simd/kernels.h"
 #include "base/thread_pool.h"
@@ -27,28 +25,9 @@ constexpr int64_t kTransposeBlock = 32;
 
 }  // namespace
 
-Tensor Add(const Tensor& a, const Tensor& b) {
-  Tensor out = a;
-  out.AddInPlace(b);
-  return out;
-}
-
 Tensor Sub(const Tensor& a, const Tensor& b) {
   Tensor out = a;
   out.SubInPlace(b);
-  return out;
-}
-
-Tensor Mul(const Tensor& a, const Tensor& b) {
-  GEODP_CHECK(SameShape(a, b));
-  Tensor out = a;
-  for (int64_t i = 0; i < out.numel(); ++i) out[i] *= b[i];
-  return out;
-}
-
-Tensor Scale(const Tensor& a, float factor) {
-  Tensor out = a;
-  out.ScaleInPlace(factor);
   return out;
 }
 
@@ -84,14 +63,6 @@ void MatmulInto(const float* a, const float* b, float* out, int64_t m,
   });
 }
 
-Tensor Transpose(const Tensor& a) {
-  GEODP_CHECK_EQ(a.ndim(), 2);
-  const int64_t m = a.dim(0), n = a.dim(1);
-  Tensor out({n, m});
-  TransposeInto(a.data(), m, n, out.data());
-  return out;
-}
-
 void TransposeInto(const float* src, int64_t m, int64_t n, float* dst) {
   for (int64_t j0 = 0; j0 < n; j0 += kTransposeBlock) {
     const int64_t cols = std::min(kTransposeBlock, n - j0);
@@ -118,38 +89,6 @@ std::vector<int64_t> ArgMaxRows(const Tensor& a) {
     result[static_cast<size_t>(i)] = best;
   }
   return result;
-}
-
-double Mean(const Tensor& a) {
-  GEODP_CHECK_GT(a.numel(), 0);
-  return a.Sum() / static_cast<double>(a.numel());
-}
-
-double MaxAbsDiff(const Tensor& a, const Tensor& b) {
-  GEODP_CHECK(SameShape(a, b));
-  double max_diff = 0.0;
-  for (int64_t i = 0; i < a.numel(); ++i) {
-    const double x = a[i], y = b[i];
-    // Equal values, infinities included, differ by 0 and so do two NaNs;
-    // a NaN against a number differs by +inf instead of vanishing in max.
-    if (x == y || (std::isnan(x) && std::isnan(y))) continue;
-    max_diff = std::isnan(x) || std::isnan(y)
-                   ? std::numeric_limits<double>::infinity()
-                   : std::max(max_diff, std::fabs(x - y));
-  }
-  return max_diff;
-}
-
-bool AllClose(const Tensor& a, const Tensor& b, double rtol, double atol) {
-  if (!SameShape(a, b)) return false;
-  for (int64_t i = 0; i < a.numel(); ++i) {
-    const double diff =
-        std::fabs(static_cast<double>(a[i]) - static_cast<double>(b[i]));
-    if (diff > atol + rtol * std::fabs(static_cast<double>(b[i]))) {
-      return false;
-    }
-  }
-  return true;
 }
 
 void AccumulateSum(const std::vector<Tensor>& tensors, Tensor& sum) {

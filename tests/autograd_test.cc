@@ -6,13 +6,14 @@
 
 #include <gtest/gtest.h>
 
-#include "autograd/graph.h"
 #include "base/rng.h"
 #include "nn/linear.h"
 #include "nn/loss.h"
 #include "nn/parameter.h"
 #include "nn/sequential.h"
 #include "nn/activations.h"
+#include "support/autograd.h"
+#include "support/tensor_oracles.h"
 #include "tensor/tensor_ops.h"
 
 namespace geodp {

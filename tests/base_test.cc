@@ -100,15 +100,6 @@ TEST(RngTest, GaussianZeroStddevIsConstant) {
   for (int i = 0; i < 10; ++i) EXPECT_DOUBLE_EQ(rng.Gaussian(4.0, 0.0), 4.0);
 }
 
-TEST(RngTest, GaussianVectorSizeAndSpread) {
-  Rng rng(23);
-  const auto v = rng.GaussianVector(50000, 2.0);
-  ASSERT_EQ(v.size(), 50000u);
-  double sum_sq = 0.0;
-  for (double x : v) sum_sq += x * x;
-  EXPECT_NEAR(sum_sq / static_cast<double>(v.size()), 4.0, 0.15);
-}
-
 TEST(RngTest, LaplaceMoments) {
   Rng rng(29);
   const int n = 200000;
@@ -221,17 +212,6 @@ TEST(TimerTest, MeasuresElapsedTime) {
   for (int i = 0; i < 100000; ++i)
     sink = sink + std::sqrt(static_cast<double>(i));
   EXPECT_GT(timer.ElapsedSeconds(), 0.0);
-  EXPECT_GE(timer.ElapsedMillis(), timer.ElapsedSeconds());  // ms >= s
-}
-
-TEST(TimerTest, ResetRestarts) {
-  Timer timer;
-  volatile double sink = 0.0;
-  for (int i = 0; i < 100000; ++i)
-    sink = sink + std::sqrt(static_cast<double>(i));
-  const double before = timer.ElapsedSeconds();
-  timer.Reset();
-  EXPECT_LT(timer.ElapsedSeconds(), before + 1.0);
 }
 
 }  // namespace

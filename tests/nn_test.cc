@@ -23,6 +23,8 @@
 #include "nn/pooling.h"
 #include "nn/residual.h"
 #include "nn/sequential.h"
+#include "support/conv_reference.h"
+#include "support/tensor_oracles.h"
 #include "tensor/tensor_ops.h"
 #include "test_util.h"
 
@@ -116,7 +118,7 @@ TEST(Conv2dTest, ForwardKnownSum) {
   Conv2d layer(1, 1, 3, rng, /*padding=*/0);
   layer.Parameters()[0]->value.Fill(1.0f);  // 3x3 box filter
   layer.Parameters()[1]->value.Fill(0.0f);
-  Tensor x = Tensor::Full({1, 1, 3, 3}, 2.0f);
+  Tensor x = Full({1, 1, 3, 3}, 2.0f);
   const Tensor y = layer.Forward(x);
   EXPECT_EQ(y.numel(), 1);
   EXPECT_NEAR(y[0], 18.0f, 1e-5);
@@ -341,7 +343,7 @@ TEST(ResidualBlockTest, IdentityPathDominatesWithZeroWeights) {
   Rng rng(25);
   ResidualBlock block(2, rng);
   for (Parameter* p : block.Parameters()) p->value.Fill(0.0f);
-  Tensor x = Tensor::Full({1, 2, 4, 4}, 1.5f);
+  Tensor x = Full({1, 2, 4, 4}, 1.5f);
   const Tensor y = block.Forward(x);
   // F(x) = 0, so out = ReLU(x) = x for positive x.
   EXPECT_TRUE(AllClose(y, x));
@@ -445,11 +447,11 @@ TEST(ReLUTest, ForwardAndMaskMatchHistoricalLoopBitForBit) {
   // the in-place forward must leave the same mask as the copying one.
   ReLU relu;
   EXPECT_EQ(FirstBitMismatch(relu.Forward(x), want), -1);
-  EXPECT_EQ(FirstBitMismatch(relu.Backward(Tensor::Full(x.shape(), 1.0f)),
+  EXPECT_EQ(FirstBitMismatch(relu.Backward(Full(x.shape(), 1.0f)),
                              want_mask),
             -1);
-  EXPECT_EQ(FirstBitMismatch(relu.ForwardOwned(x), want), -1);
-  EXPECT_EQ(FirstBitMismatch(relu.Backward(Tensor::Full(x.shape(), 1.0f)),
+  EXPECT_EQ(FirstBitMismatch(relu.Forward(Tensor(x)), want), -1);
+  EXPECT_EQ(FirstBitMismatch(relu.Backward(Full(x.shape(), 1.0f)),
                              want_mask),
             -1);
 }

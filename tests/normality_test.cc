@@ -11,6 +11,7 @@
 #include "data/gradient_dataset.h"
 #include "stats/direction_stats.h"
 #include "stats/normality.h"
+#include "support/oracles.h"
 
 namespace geodp {
 namespace {

@@ -4,8 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -18,6 +20,7 @@
 #include "obs/step_observer.h"
 #include "obs/trace.h"
 #include "optim/trainer.h"
+#include "support/oracles.h"
 
 namespace geodp {
 namespace {
@@ -53,17 +56,17 @@ TEST(MetricsRegistryTest, CountersGaugesHistograms) {
   MetricsRegistry registry;
   registry.IncrementCounter("steps");
   registry.IncrementCounter("steps", 4);
-  EXPECT_EQ(registry.counter("steps"), 5);
-  EXPECT_EQ(registry.counter("missing"), 0);
+  EXPECT_EQ(CounterValue(registry, "steps"), 5);
+  EXPECT_EQ(CounterValue(registry, "missing"), 0);
 
   registry.SetGauge("epsilon", 1.25);
   registry.SetGauge("epsilon", 2.5);
-  EXPECT_EQ(registry.gauge("epsilon"), 2.5);
+  EXPECT_EQ(GaugeValue(registry, "epsilon"), 2.5);
 
   registry.ObserveHistogram("clip", {0.5, 1.0}, 0.25);
   registry.ObserveHistogram("clip", {0.5, 1.0}, 0.75);
   registry.ObserveHistogram("clip", {0.5, 1.0}, 9.0);  // overflow bucket
-  const HistogramSnapshot snapshot = registry.histogram("clip");
+  const HistogramSnapshot snapshot = HistogramValue(registry, "clip");
   ASSERT_EQ(snapshot.upper_bounds.size(), 2u);
   ASSERT_EQ(snapshot.counts.size(), 3u);
   EXPECT_EQ(snapshot.counts[0], 1);
@@ -79,7 +82,7 @@ TEST(HistogramQuantileTest, PinsInterpolatedValues) {
   for (const double v : {0.5, 1.5, 1.5, 3.0, 3.0, 3.0, 5.0}) {
     registry.ObserveHistogram("h", bounds, v);
   }
-  const HistogramSnapshot snapshot = registry.histogram("h");
+  const HistogramSnapshot snapshot = HistogramValue(registry, "h");
   ASSERT_EQ(snapshot.count, 7);
   // rank 3.5 lands in bucket (2, 4] holding ranks 4..6 cumulatively 3..6:
   // fraction (3.5 - 3) / 3 of the way from 2 to 4.
@@ -101,23 +104,27 @@ TEST(HistogramQuantileTest, EmptyAndSingleBucket) {
 
   MetricsRegistry registry;
   registry.ObserveHistogram("one", {2.0}, 1.0);
-  const HistogramSnapshot snapshot = registry.histogram("one");
+  const HistogramSnapshot snapshot = HistogramValue(registry, "one");
   // One observation in (0, 2]: the median interpolates to the midpoint.
   EXPECT_DOUBLE_EQ(snapshot.p50, 1.0);
 }
 
-TEST(MetricsRegistryTest, ToJsonlIncludesQuantiles) {
+TEST(MetricsRegistryTest, SnapshotIncludesQuantiles) {
   MetricsRegistry registry;
   for (const double v : {0.5, 1.5, 1.5, 3.0, 3.0, 3.0, 5.0}) {
     registry.ObserveHistogram("h", {1.0, 2.0, 4.0}, v);
   }
-  EXPECT_EQ(registry.ToJsonl(),
-            "{\"type\":\"histogram\",\"name\":\"h\",\"bounds\":[1,2,4],"
-            "\"counts\":[1,2,3,1],\"count\":7,\"sum\":17.5,"
-            "\"p50\":2.3333333333333335,\"p95\":4,\"p99\":4}\n");
+  const HistogramSnapshot h = HistogramValue(registry, "h");
+  EXPECT_EQ(h.upper_bounds, (std::vector<double>{1, 2, 4}));
+  EXPECT_EQ(h.counts, (std::vector<int64_t>{1, 2, 3, 1}));
+  EXPECT_EQ(h.count, 7);
+  EXPECT_EQ(FormatDouble(h.sum), "17.5");
+  EXPECT_EQ(FormatDouble(h.p50), "2.3333333333333335");
+  EXPECT_EQ(FormatDouble(h.p95), "4");
+  EXPECT_EQ(FormatDouble(h.p99), "4");
 }
 
-TEST(MetricsRegistryTest, ToJsonlIsSortedAndInsertionOrderFree) {
+TEST(MetricsRegistryTest, SnapshotIsSortedAndInsertionOrderFree) {
   MetricsRegistry a;
   a.IncrementCounter("zebra");
   a.IncrementCounter("alpha", 2);
@@ -128,20 +135,13 @@ TEST(MetricsRegistryTest, ToJsonlIsSortedAndInsertionOrderFree) {
   b.IncrementCounter("alpha", 2);
   b.IncrementCounter("zebra");
 
-  EXPECT_EQ(a.ToJsonl(), b.ToJsonl());
-  EXPECT_EQ(a.ToJsonl(),
-            "{\"type\":\"counter\",\"name\":\"alpha\",\"value\":2}\n"
-            "{\"type\":\"counter\",\"name\":\"zebra\",\"value\":1}\n"
-            "{\"type\":\"gauge\",\"name\":\"mid\",\"value\":0.5}\n");
-}
-
-TEST(MetricsRegistryTest, WriteJsonlMatchesToJsonl) {
-  MetricsRegistry registry;
-  registry.IncrementCounter("steps", 7);
-  registry.ObserveHistogram("h", {1.0}, 0.5);
-  const std::string path = TempPath("metrics_registry.jsonl");
-  ASSERT_TRUE(registry.WriteJsonl(path).ok());
-  EXPECT_EQ(ReadFile(path), registry.ToJsonl());
+  const RegistrySnapshot sa = a.Snapshot(), sb = b.Snapshot();
+  EXPECT_EQ(sa.counters, sb.counters);
+  EXPECT_EQ(sa.gauges, sb.gauges);
+  EXPECT_EQ(sa.counters,
+            (std::map<std::string, int64_t>{{"alpha", 2}, {"zebra", 1}}));
+  EXPECT_EQ(sa.counters.begin()->first, "alpha");
+  EXPECT_EQ(sa.gauges, (std::map<std::string, double>{{"mid", 0.5}}));
 }
 
 TEST(MetricsRegistryTest, ResetDropsEverything) {
@@ -149,7 +149,10 @@ TEST(MetricsRegistryTest, ResetDropsEverything) {
   registry.IncrementCounter("c");
   registry.SetGauge("g", 1.0);
   registry.Reset();
-  EXPECT_EQ(registry.ToJsonl(), "");
+  const RegistrySnapshot snapshot = registry.Snapshot();
+  EXPECT_TRUE(snapshot.counters.empty());
+  EXPECT_TRUE(snapshot.gauges.empty());
+  EXPECT_TRUE(snapshot.histograms.empty());
 }
 
 TEST(TraceTest, SpanIsFreeWhenDisabled) {
@@ -262,12 +265,12 @@ TEST(StepObserverTest, WriterReportsUnopenablePath) {
   MetricsRegistry::Global().Reset();
   JsonlStepWriter writer("/nonexistent-dir/steps.jsonl");
   EXPECT_FALSE(writer.status().ok());
-  EXPECT_EQ(MetricsRegistry::Global().counter("obs.jsonl_open_errors"), 1);
+  EXPECT_EQ(CounterValue(MetricsRegistry::Global(), "obs.jsonl_open_errors"), 1);
   StepRecord record;
   writer.OnStep(record);  // must not crash
   EXPECT_EQ(writer.records_written(), 0);
   EXPECT_EQ(writer.dropped_records(), 1);
-  EXPECT_EQ(MetricsRegistry::Global().counter("obs.jsonl_write_errors"), 1);
+  EXPECT_EQ(CounterValue(MetricsRegistry::Global(), "obs.jsonl_write_errors"), 1);
   MetricsRegistry::Global().Reset();
 }
 
@@ -285,7 +288,7 @@ TEST(StepObserverTest, WriterSurfacesDiskFullAsErrorStatus) {
   writer.OnStep(record);
   EXPECT_EQ(writer.records_written(), 0);
   EXPECT_EQ(writer.dropped_records(), 2);
-  EXPECT_EQ(MetricsRegistry::Global().counter("obs.jsonl_write_errors"), 2);
+  EXPECT_EQ(CounterValue(MetricsRegistry::Global(), "obs.jsonl_write_errors"), 2);
   const Status status = writer.Close();
   EXPECT_FALSE(status.ok());
   EXPECT_NE(status.message().find("write failed"), std::string::npos);
@@ -396,8 +399,8 @@ TEST(StepObserverTest, TrainerFillsRecordsWithConsistentTelemetry) {
   // The last record's epsilon matches the final report.
   EXPECT_DOUBLE_EQ(observer.records().back().epsilon, result.epsilon);
   // The global registry mirrored the run.
-  EXPECT_EQ(MetricsRegistry::Global().counter("trainer.steps"), 6);
-  EXPECT_DOUBLE_EQ(MetricsRegistry::Global().gauge("trainer.epsilon"),
+  EXPECT_EQ(CounterValue(MetricsRegistry::Global(), "trainer.steps"), 6);
+  EXPECT_DOUBLE_EQ(GaugeValue(MetricsRegistry::Global(), "trainer.epsilon"),
                    result.epsilon);
   MetricsRegistry::Global().Reset();
 }

@@ -21,6 +21,7 @@
 #include "optim/dp_sgd.h"
 #include "optim/geodp_sgd.h"
 #include "optim/techniques.h"
+#include "support/tensor_oracles.h"
 #include "tensor/tensor_ops.h"
 
 namespace geodp {

@@ -22,6 +22,8 @@
 #include "optim/dp_sgd.h"
 #include "optim/geodp_sgd.h"
 #include "optim/trainer.h"
+#include "support/conv_reference.h"
+#include "support/tensor_oracles.h"
 #include "tensor/tensor_ops.h"
 
 namespace geodp {

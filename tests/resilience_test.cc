@@ -32,6 +32,7 @@
 #include "obs/metrics.h"
 #include "obs/step_observer.h"
 #include "optim/trainer.h"
+#include "support/oracles.h"
 
 namespace geodp {
 namespace {
@@ -395,8 +396,8 @@ TEST_F(ResilienceTest, TelemetryLossDegradesButNeverPerturbsTraining) {
   EXPECT_FALSE(degraded_serial.healthy);
   EXPECT_EQ(degraded_serial.dropped, BaseOptions().iterations);
   EXPECT_TRUE(degraded_serial.snapshot_degraded);
-  EXPECT_EQ(MetricsRegistry::Global().gauge("obs.degraded"), 1.0);
-  EXPECT_GT(MetricsRegistry::Global().counter("obs.jsonl_write_errors"), 0);
+  EXPECT_EQ(GaugeValue(MetricsRegistry::Global(), "obs.degraded"), 1.0);
+  EXPECT_GT(CounterValue(MetricsRegistry::Global(), "obs.jsonl_write_errors"), 0);
 }
 
 TEST_F(ResilienceTest, CheckpointMissDebtBoundAbortsWithContext) {
@@ -416,8 +417,8 @@ TEST_F(ResilienceTest, CheckpointMissDebtBoundAbortsWithContext) {
   EXPECT_EQ(run.status().code(), StatusCode::kUnavailable);
   EXPECT_NE(run.status().message().find("consecutive checkpoint(s) missed"),
             std::string::npos);
-  EXPECT_GE(MetricsRegistry::Global().counter("ckpt.missed"), 2);
-  EXPECT_GT(MetricsRegistry::Global().counter("io.giveups"), 0);
+  EXPECT_GE(CounterValue(MetricsRegistry::Global(), "ckpt.missed"), 2);
+  EXPECT_GT(CounterValue(MetricsRegistry::Global(), "io.giveups"), 0);
 }
 
 TEST_F(ResilienceTest, CheckpointMissesWithinBoundDoNotPerturbTraining) {
@@ -451,7 +452,7 @@ TEST_F(ResilienceTest, PruneErrorsAreCountedNeverFatal) {
   ASSERT_TRUE(FaultInjector::ArmFromSpec("ckpt.prune@p=1:eio").ok());
   DpTrainer trainer(model.get(), &train, nullptr, options);
   ASSERT_TRUE(trainer.Run().ok());
-  EXPECT_GT(MetricsRegistry::Global().counter("ckpt.prune_errors"), 0);
+  EXPECT_GT(CounterValue(MetricsRegistry::Global(), "ckpt.prune_errors"), 0);
   // Every prune failed, so the files stale pruning would have deleted are
   // still there (keep=1 but `iterations` checkpoints written).
   int64_t files = 0;

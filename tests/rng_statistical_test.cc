@@ -12,6 +12,7 @@
 #include "base/rng.h"
 #include "stats/normality.h"
 #include "stats/summary.h"
+#include "support/oracles.h"
 
 namespace geodp {
 namespace {
@@ -134,14 +135,6 @@ TEST(RngStatisticalTest, BoxMullerPairsAreIndependentEnough) {
     cross += a * b;
   }
   EXPECT_LT(std::fabs(cross / kSamples), 0.02);
-}
-
-TEST(RngStatisticalTest, GaussianVectorMatchesScalarPath) {
-  Rng a(1009), b(1009);
-  const auto vec = a.GaussianVector(64, 2.5);
-  for (double v : vec) {
-    EXPECT_DOUBLE_EQ(v, b.Gaussian(0.0, 2.5));
-  }
 }
 
 }  // namespace

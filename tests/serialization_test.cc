@@ -11,6 +11,7 @@
 #include "models/mlp.h"
 #include "nn/checkpoint.h"
 #include "nn/parameter.h"
+#include "support/tensor_oracles.h"
 #include "tensor/serialization.h"
 #include "tensor/tensor_ops.h"
 

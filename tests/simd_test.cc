@@ -37,6 +37,8 @@
 #include "nn/parameter.h"
 #include "optim/geodp_sgd.h"
 #include "optim/trainer.h"
+#include "support/conv_reference.h"
+#include "support/tensor_oracles.h"
 #include "tensor/tensor_ops.h"
 
 namespace geodp {

@@ -15,6 +15,7 @@
 #include "base/simd/dispatch.h"
 #include "base/simd/kernels.h"
 #include "core/spherical.h"
+#include "support/tensor_oracles.h"
 #include "tensor/tensor.h"
 #include "tensor/tensor_ops.h"
 

@@ -10,6 +10,7 @@
 
 #include "base/rng.h"
 #include "core/spherical.h"
+#include "support/tensor_oracles.h"
 #include "tensor/serialization.h"
 #include "tensor/tensor.h"
 #include "tensor/tensor_ops.h"

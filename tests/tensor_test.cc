@@ -10,6 +10,7 @@
 
 #include "base/rng.h"
 #include "base/simd/dispatch.h"
+#include "support/tensor_oracles.h"
 #include "tensor/tensor.h"
 #include "tensor/tensor_ops.h"
 
@@ -31,10 +32,10 @@ TEST(TensorTest, ZeroInitialized) {
 
 TEST(TensorTest, FromVectorAndAt) {
   Tensor t = Tensor::FromVector({2, 3}, {1, 2, 3, 4, 5, 6});
-  EXPECT_EQ(t.at({0, 0}), 1.0f);
-  EXPECT_EQ(t.at({0, 2}), 3.0f);
-  EXPECT_EQ(t.at({1, 0}), 4.0f);
-  EXPECT_EQ(t.at({1, 2}), 6.0f);
+  EXPECT_EQ(At(t, {0, 0}), 1.0f);
+  EXPECT_EQ(At(t, {0, 2}), 3.0f);
+  EXPECT_EQ(At(t, {1, 0}), 4.0f);
+  EXPECT_EQ(At(t, {1, 2}), 6.0f);
 }
 
 TEST(TensorTest, VectorFactory) {
@@ -45,7 +46,7 @@ TEST(TensorTest, VectorFactory) {
 }
 
 TEST(TensorTest, FullFillsValue) {
-  Tensor t = Tensor::Full({4}, 2.5f);
+  Tensor t = Full({4}, 2.5f);
   for (int64_t i = 0; i < 4; ++i) EXPECT_EQ(t[i], 2.5f);
 }
 
@@ -53,7 +54,7 @@ TEST(TensorTest, ReshapePreservesData) {
   Tensor t = Tensor::FromVector({2, 3}, {1, 2, 3, 4, 5, 6});
   Tensor r = t.Reshape({3, 2});
   EXPECT_EQ(r.dim(0), 3);
-  EXPECT_EQ(r.at({2, 1}), 6.0f);
+  EXPECT_EQ(At(r, {2, 1}), 6.0f);
 }
 
 TEST(TensorTest, ReshapeInfersExtent) {
@@ -87,7 +88,7 @@ TEST(TensorTest, InPlaceArithmetic) {
 TEST(TensorTest, L2NormAndSum) {
   Tensor t = Tensor::Vector({3, 4});
   EXPECT_DOUBLE_EQ(t.L2Norm(), 5.0);
-  EXPECT_DOUBLE_EQ(t.Sum(), 7.0);
+  EXPECT_DOUBLE_EQ(Sum(t), 7.0);
 }
 
 TEST(TensorTest, RandnUsesRng) {
@@ -106,13 +107,6 @@ TEST(TensorTest, RandUniformRange) {
     EXPECT_GE(t[i], -1.0f);
     EXPECT_LT(t[i], 1.0f);
   }
-}
-
-TEST(TensorTest, DebugStringTruncates) {
-  Tensor t({10});
-  const std::string s = t.DebugString(3);
-  EXPECT_NE(s.find("..."), std::string::npos);
-  EXPECT_NE(s.find("[10]"), std::string::npos);
 }
 
 TEST(TensorTest, SameShape) {
@@ -139,17 +133,17 @@ TEST(TensorOpsTest, MatmulKnownValues) {
   Tensor a = Tensor::FromVector({2, 3}, {1, 2, 3, 4, 5, 6});
   Tensor b = Tensor::FromVector({3, 2}, {7, 8, 9, 10, 11, 12});
   Tensor c = Matmul(a, b);
-  EXPECT_EQ(c.at({0, 0}), 58.0f);
-  EXPECT_EQ(c.at({0, 1}), 64.0f);
-  EXPECT_EQ(c.at({1, 0}), 139.0f);
-  EXPECT_EQ(c.at({1, 1}), 154.0f);
+  EXPECT_EQ(At(c, {0, 0}), 58.0f);
+  EXPECT_EQ(At(c, {0, 1}), 64.0f);
+  EXPECT_EQ(At(c, {1, 0}), 139.0f);
+  EXPECT_EQ(At(c, {1, 1}), 154.0f);
 }
 
 TEST(TensorOpsTest, MatmulIdentity) {
   Rng rng(3);
   Tensor a = Tensor::Randn({4, 4}, rng);
   Tensor eye({4, 4});
-  for (int64_t i = 0; i < 4; ++i) eye.at({i, i}) = 1.0f;
+  for (int64_t i = 0; i < 4; ++i) At(eye, {i, i}) = 1.0f;
   EXPECT_TRUE(AllClose(Matmul(a, eye), a));
   EXPECT_TRUE(AllClose(Matmul(eye, a), a));
 }
@@ -166,7 +160,7 @@ TEST(TensorOpsTest, TransposeMatchesMatmulIdentity) {
   Tensor at = Transpose(a);
   EXPECT_EQ(at.dim(0), 4);
   EXPECT_EQ(at.dim(1), 3);
-  EXPECT_EQ(at.at({2, 1}), a.at({1, 2}));
+  EXPECT_EQ(At(at, {2, 1}), At(a, {1, 2}));
 }
 
 TEST(TensorOpsTest, TransposeMapsEveryElementExactly) {

@@ -25,6 +25,7 @@
 #include "obs/step_observer.h"
 #include "optim/dp_sgd.h"
 #include "optim/trainer.h"
+#include "support/tensor_oracles.h"
 #include "tensor/tensor_ops.h"
 
 namespace geodp {
