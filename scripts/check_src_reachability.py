@@ -11,13 +11,14 @@ Usage:
     python3 scripts/check_src_reachability.py build-gc build-gc-e2e
 
 The first build directory is the top-level tree: its src/ objects define
-the library's functions, and its tools, benches and examples are
-programs. Every further build directory contributes all of its
-executables as programs (e2ebench's `e2e_runner`). Use fresh build
-directories: an incremental build keeps the executables of deleted
-programs, and they would count. Tests do not count: code that only its
-own tests call is dead weight, and deleting it or moving it under
-tests/support/ is the fix.
+the library's functions, and the programs are the executables listed in
+its programs.txt, which CMake writes from every `geodp_program` target
+(the tools, benches and examples). An incremental build keeps the binary
+of a deleted program, but the list no longer names it, so it does not
+count. Every further build directory contributes all of its executables
+as programs (e2ebench's `e2e_runner`; that tree writes no list), so use a
+fresh one. Tests do not count: code that only its own tests call is dead
+weight, and deleting it or moving it under tests/support/ is the fix.
 
 The check compares two sets of symbols: the strong global text symbols
 (`T`) of every object under BUILD/src/, and the text symbols (`T`, `t`,
@@ -73,7 +74,7 @@ EXCEPTIONS = {
         "test hook on private state: reads the format WriteTensor writes, "
         "kept beside its writer",
 }
-PROGRAM_DIRS = ("tools", "bench", "examples")
+PROGRAM_LIST = "programs.txt"
 SRC_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                        os.pardir, "src")
 
@@ -144,13 +145,26 @@ def is_elf_executable(path):
         return handle.read(4) == b"\x7fELF"
 
 
-def find_programs(root_dir, subdirs):
+def listed_programs(build_dir):
+    """The programs the top-level tree lists; each must be built."""
+    path = os.path.join(build_dir, PROGRAM_LIST)
+    if not os.path.isfile(path):
+        fail(f"{path} is missing: configure {build_dir} from the top-level "
+             "CMakeLists.txt, which writes it")
+    with open(path) as handle:
+        programs = [line.strip() for line in handle if line.strip()]
+    for program in programs:
+        if not is_elf_executable(program):
+            fail(f"{program} is listed in {path} but not built")
+    return programs
+
+
+def find_programs(build_dir):
     programs = []
-    for sub in subdirs:
-        for root, dirs, files in os.walk(os.path.join(root_dir, sub)):
-            dirs[:] = [d for d in dirs if d != "CMakeFiles"]
-            programs += [os.path.join(root, f) for f in files
-                         if is_elf_executable(os.path.join(root, f))]
+    for root, dirs, files in os.walk(build_dir):
+        dirs[:] = [d for d in dirs if d != "CMakeFiles"]
+        programs += [os.path.join(root, f) for f in files
+                     if is_elf_executable(os.path.join(root, f))]
     return sorted(programs)
 
 
@@ -181,17 +195,16 @@ def main():
     parser.add_argument("build_dir", help="the top-level gc-sections build")
     parser.add_argument("program_build_dirs", nargs="*",
                         help="further gc-sections builds whose executables "
-                             "are programs (e2ebench's)")
+                             "are all programs (e2ebench's)")
     args = parser.parse_args()
 
     for build_dir in [args.build_dir] + args.program_build_dirs:
         check_flags(build_dir)
-    programs = find_programs(args.build_dir, PROGRAM_DIRS)
+    programs = listed_programs(args.build_dir)
     for build_dir in args.program_build_dirs:
-        programs += find_programs(build_dir, ("",))
+        programs += find_programs(build_dir)
     if not programs:
-        fail(f"no executables under {args.build_dir}/"
-             f"{{{','.join(PROGRAM_DIRS)}}}")
+        fail(f"no programs in {args.build_dir}/{PROGRAM_LIST}")
     objects = find_objects(args.build_dir)
     if not objects:
         fail(f"no library objects under {args.build_dir}/src")

@@ -1,8 +1,8 @@
 // Strong typedefs for the privacy-critical double parameters that travel
 // together through the clipping and calibration APIs. A clip threshold C,
 // a noise multiplier sigma and an L2 sensitivity are all "just doubles",
-// and every transposition of one for another is a silent privacy bug (the
-// clang-tidy easily-swappable-parameters debt in ROADMAP item 5). Each
+// and every transposition of one for another is a silent privacy bug (these
+// types let .clang-tidy keep bugprone-easily-swappable-parameters on). Each
 // wrapper is an explicit single-value type: construction names the unit at
 // the call site and `.value()` unwraps it where the arithmetic happens.
 //

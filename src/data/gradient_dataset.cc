@@ -80,7 +80,7 @@ GradientDataset HarvestGradientDataset(const GradientDatasetOptions& options) {
       const std::vector<int64_t> y = {dataset.label(index)};
       ZeroGradients(params);
       loss.Forward(model->Forward(dataset.StackImages({index})), y);
-      model->Backward(loss.Backward());
+      model->Backward(loss.Backward(), nullptr, /*input_grad=*/false);
       const Tensor flat = FlattenGradients(params);
       for (int64_t i = 0; i < flat.numel(); ++i) merged.push_back(flat[i]);
       // Descend so successive gradients come from an evolving model, as in

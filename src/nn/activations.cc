@@ -26,14 +26,15 @@ Tensor ReLU::Forward(Tensor input) {
 // The gradient is multiplied by 1 or 0 rather than selected, so a masked
 // element keeps the product's bits: -0 for a negative g, NaN for an
 // infinite or NaN one.
-Tensor ReLU::Backward(const Tensor& grad_output) {
+Tensor ReLU::Backward(Tensor grad_output,
+                      std::vector<double>* /*ghost_norm_sq*/,
+                      bool /*input_grad*/) {
   GEODP_CHECK(grad_output.shape() == input_shape_);
   const int64_t n = grad_output.numel();
-  Tensor grad_input = grad_output;
-  float* g = grad_input.data();
+  float* g = grad_output.data();
   const uint8_t* on = mask_.data();
   for (int64_t i = 0; i < n; ++i) g[i] *= static_cast<float>(on[i]);
-  return grad_input;
+  return grad_output;
 }
 
 }  // namespace geodp

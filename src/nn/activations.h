@@ -18,7 +18,10 @@ class ReLU : public Layer {
 
   // Selects in place: the output is written over the input.
   Tensor Forward(Tensor input) override;
-  Tensor Backward(const Tensor& grad_output) override;
+  Tensor Backward(
+      Tensor grad_output,
+      std::vector<double>* ghost_norm_sq,  // geodp: per-sample norms out
+      bool input_grad) override;
   std::string name() const override { return "ReLU"; }
 
  private:

@@ -1,5 +1,7 @@
 #include "nn/conv2d.h"
 
+#include <utility>
+
 #include "base/check.h"
 #include "base/simd/kernels.h"
 #include "nn/im2col.h"
@@ -7,6 +9,17 @@
 #include "tensor/tensor_ops.h"
 
 namespace geodp {
+namespace {
+
+// One row of an output gradient summed in double: sample b's bias
+// gradient for one channel.
+double RowSum(const float* row, int64_t n) {
+  double sum = 0.0;
+  for (int64_t i = 0; i < n; ++i) sum += static_cast<double>(row[i]);
+  return sum;
+}
+
+}  // namespace
 
 Conv2d::Conv2d(int64_t in_channels, int64_t out_channels, int64_t kernel_size,
                Rng& rng, int64_t padding, bool with_bias)
@@ -27,28 +40,6 @@ Conv2d::Conv2d(int64_t in_channels, int64_t out_channels, int64_t kernel_size,
   GEODP_CHECK_GT(out_channels_, 0);
   GEODP_CHECK_GT(kernel_size_, 0);
   GEODP_CHECK_GE(padding_, 0);
-}
-
-Tensor Conv2d::Backward(const Tensor& grad_output) {
-  return BackwardPass(grad_output, /*input_grad=*/true);
-}
-
-Tensor Conv2d::GhostBackward(
-    const Tensor& grad_output,
-    std::vector<double>& ghost_norm_sq) {  // geodp: per-sample norms out
-  return GhostPass(grad_output, ghost_norm_sq,  // geodp: per-sample
-                   /*input_grad=*/true);
-}
-
-void Conv2d::BackwardParameters(
-    const Tensor& grad_output,
-    std::vector<double>* ghost_norm_sq) {  // geodp: per-sample norms out
-  if (ghost_norm_sq != nullptr) {  // geodp: per-sample
-    GhostPass(grad_output, *ghost_norm_sq,  // geodp: per-sample
-              /*input_grad=*/false);
-  } else {
-    BackwardPass(grad_output, /*input_grad=*/false);
-  }
 }
 
 Tensor Conv2d::Forward(Tensor input) {
@@ -85,71 +76,9 @@ Tensor Conv2d::Forward(Tensor input) {
   return output;
 }
 
-Tensor Conv2d::BackwardPass(const Tensor& grad_output, bool input_grad) {
-  GEODP_CHECK_EQ(grad_output.ndim(), 4);
-  const Tensor& input = cached_input_;
-  const int64_t batch = input.dim(0);
-  const int64_t in_h = input.dim(2), in_w = input.dim(3);
-  const int64_t out_h = grad_output.dim(2), out_w = grad_output.dim(3);
-  GEODP_CHECK_EQ(grad_output.dim(0), batch);
-  GEODP_CHECK_EQ(grad_output.dim(1), out_channels_);
-
-  const int64_t kk = in_channels_ * kernel_size_ * kernel_size_;
-  const int64_t spatial = out_h * out_w;
-  const int64_t image_size = in_channels_ * in_h * in_w;
-  if (input_grad) {
-    TransposeInto(weight_.value.data(), out_channels_, kk, weight_t_.data());
-  }
-  GEODP_CHECK_EQ(columns_.numel(), kk * spatial);
-  if (columns_t_.numel() != spatial * kk) columns_t_ = Tensor({spatial, kk});
-  if (product_.numel() != out_channels_ * kk) {
-    product_ = Tensor({out_channels_, kk});
-  }
-  if (input_grad && grad_columns_.numel() != kk * spatial) {
-    grad_columns_ = Tensor({kk, spatial});
-  }
-  weight_grad_matrix_.Fill(0.0f);
-  Tensor grad_input = input_grad ? Tensor(input.shape()) : Tensor();
-
-  for (int64_t b = 0; b < batch; ++b) {
-    // The forward left the last sample's unfold in columns_; transposing
-    // it copies the same values Im2ColTransposedInto would.
-    if (b + 1 == batch) {
-      TransposeInto(columns_.data(), kk, spatial, columns_t_.data());
-    } else {
-      Im2ColTransposedInto(input.data() + b * image_size, in_channels_, in_h,
-                           in_w, kernel_size_, padding_, columns_t_.data());
-    }
-    const float* gy = grad_output.data() + b * out_channels_ * spatial;
-    // dW += dY @ cols^T, formed in scratch and then added, so each sample's
-    // product rounds on its own before joining the sum.
-    MatmulInto(gy, columns_t_.data(), product_.data(), out_channels_, spatial,
-               kk);
-    weight_grad_matrix_.AddInPlace(product_);
-    if (input_grad) {
-      // dX_cols = W^T @ dY, folded onto sample b's zeroed input gradient.
-      MatmulInto(weight_t_.data(), gy, grad_columns_.data(), kk,
-                 out_channels_, spatial);
-      Col2ImInto(grad_columns_.data(), in_channels_, in_h, in_w,
-                 kernel_size_, padding_, grad_input.data() + b * image_size);
-    }
-    if (with_bias_) {
-      for (int64_t oc = 0; oc < out_channels_; ++oc) {
-        double sum = 0.0;
-        for (int64_t i = 0; i < spatial; ++i)
-          sum += static_cast<double>(gy[oc * spatial + i]);
-        bias_.grad[oc] += static_cast<float>(sum);
-      }
-    }
-  }
-  simd::Add(weight_.grad.data(), weight_grad_matrix_.data(),
-            weight_grad_matrix_.numel());
-  return grad_input;
-}
-
-Tensor Conv2d::GhostPass(
-    const Tensor& grad_output,
-    std::vector<double>& ghost_norm_sq,  // geodp: per-sample norms out
+Tensor Conv2d::Backward(
+    Tensor grad_output,
+    std::vector<double>* ghost_norm_sq,  // geodp: per-sample norms out
     bool input_grad) {
   GEODP_CHECK_EQ(grad_output.ndim(), 4);
   const Tensor& input = cached_input_;
@@ -158,78 +87,103 @@ Tensor Conv2d::GhostPass(
   const int64_t out_h = grad_output.dim(2), out_w = grad_output.dim(3);
   GEODP_CHECK_EQ(grad_output.dim(0), batch);
   GEODP_CHECK_EQ(grad_output.dim(1), out_channels_);
-  GEODP_CHECK_EQ(ghost_norm_sq.size(),  // geodp: per-sample
-                 static_cast<size_t>(batch));
+  if (ghost_norm_sq != nullptr) {  // geodp: per-sample
+    GEODP_CHECK_EQ(ghost_norm_sq->size(),  // geodp: per-sample
+                   static_cast<size_t>(batch));
+  }
 
   const int64_t kk = in_channels_ * kernel_size_ * kernel_size_;
   const int64_t spatial = out_h * out_w;
   const int64_t image_size = in_channels_ * in_h * in_w;
+  GEODP_CHECK_EQ(columns_.numel(), kk * spatial);
+  if (product_.numel() != out_channels_ * kk) {
+    product_ = Tensor({out_channels_, kk});
+  }
+  if (ghost_norm_sq != nullptr) {  // geodp: per-sample
+    if (cached_columns_t_.numel() != batch * spatial * kk) {
+      cached_columns_t_ = Tensor({batch, spatial, kk});
+    }
+  } else {
+    if (columns_t_.numel() != spatial * kk) columns_t_ = Tensor({spatial, kk});
+    weight_grad_matrix_.Fill(0.0f);
+  }
+  Tensor grad_input;
   if (input_grad) {
     TransposeInto(weight_.value.data(), out_channels_, kk, weight_t_.data());
+    if (grad_columns_.numel() != kk * spatial) {
+      grad_columns_ = Tensor({kk, spatial});
+    }
+    grad_input = Tensor(input.shape());
   }
-  Tensor grad_input = input_grad ? Tensor(input.shape()) : Tensor();
-  cached_grad_output_ = grad_output;
-  if (cached_columns_t_.numel() != batch * spatial * kk) {
-    cached_columns_t_ = Tensor({batch, spatial, kk});
-  }
-
-  // Scratch reused across the whole batch: one unfolded-basis gradient
-  // and one input-gradient column matrix. No per-sample tensors are
-  // allocated.
-  Tensor sample_grad({out_channels_, kk});  // geodp: per-sample (transient)
-  Tensor grad_cols = input_grad ? Tensor({kk, spatial}) : Tensor();
 
   for (int64_t b = 0; b < batch; ++b) {
-    // Cache cols_b^T so GhostAccumulate can replay the weighted matmul
-    // without re-unfolding the input.
-    float* cols_t = cached_columns_t_.data() + b * spatial * kk;
-    Im2ColTransposedInto(input.data() + b * image_size, in_channels_, in_h,
-                         in_w, kernel_size_, padding_, cols_t);
-
+    // Sample b's unfold, transposed; ghost keeps every sample's so that
+    // GhostAccumulate need not unfold again. The forward left the last
+    // sample's unfold in columns_; transposing it copies the same values
+    // Im2ColTransposedInto would.
+    float* cols_t = columns_t_.data();
+    if (ghost_norm_sq != nullptr) {  // geodp: per-sample
+      cols_t = cached_columns_t_.data() + b * spatial * kk;
+    }
+    if (b + 1 == batch) {
+      TransposeInto(columns_.data(), kk, spatial, cols_t);
+    } else {
+      Im2ColTransposedInto(input.data() + b * image_size, in_channels_, in_h,
+                           in_w, kernel_size_, padding_, cols_t);
+    }
     const float* gy = grad_output.data() + b * out_channels_ * spatial;
-    // Sample b's weight gradient in the unfolded basis: G_b = gy_b cols^T
-    // ([OC, kk], a few kB at this library's shapes). Its squared norm is
-    // all that survives; the scratch is overwritten by the next sample.
-    simd::MatmulRowBlock(gy, cols_t,
-                         sample_grad.data(),  // geodp: per-sample
-                         0, out_channels_, spatial, kk);
-    double norm_sq = simd::SumSquares(
-        sample_grad.data(),    // geodp: per-sample
-        out_channels_ * kk);   // geodp: per-sample norm squared
-    if (with_bias_) {
-      for (int64_t oc = 0; oc < out_channels_; ++oc) {
-        double sum = 0.0;
-        for (int64_t i = 0; i < spatial; ++i)
-          sum += static_cast<double>(gy[oc * spatial + i]);
-        norm_sq += sum * sum;
+    // G_b = gy_b cols_b^T in scratch, so each sample's product rounds on
+    // its own before joining the batch sum or giving its norm.
+    simd::MatmulRowBlock(gy, cols_t, product_.data(), 0, out_channels_,
+                         spatial, kk);
+    if (ghost_norm_sq != nullptr) {  // geodp: per-sample
+      double norm_sq = simd::SumSquares(
+          product_.data(),      // geodp: per-sample
+          out_channels_ * kk);  // geodp: per-sample norm squared
+      if (with_bias_) {
+        for (int64_t oc = 0; oc < out_channels_; ++oc) {
+          const double sum = RowSum(gy + oc * spatial, spatial);
+          norm_sq += sum * sum;
+        }
+      }
+      (*ghost_norm_sq)[static_cast<size_t>(b)] +=  // geodp: per-sample
+          norm_sq;
+    } else {
+      weight_grad_matrix_.AddInPlace(product_);
+      if (with_bias_) {
+        for (int64_t oc = 0; oc < out_channels_; ++oc) {
+          bias_.grad[oc] +=
+              static_cast<float>(RowSum(gy + oc * spatial, spatial));
+        }
       }
     }
-    ghost_norm_sq[static_cast<size_t>(b)] += norm_sq;  // geodp: per-sample
-
-    // dL/dinput exactly as BackwardPass computes it (no parameter
-    // gradients are touched in this pass).
-    if (!input_grad) continue;
-    simd::MatmulRowBlock(weight_t_.data(), gy, grad_cols.data(), 0, kk,
-                         out_channels_, spatial);
-    Col2ImInto(grad_cols.data(), in_channels_, in_h, in_w, kernel_size_,
-               padding_, grad_input.data() + b * image_size);
+    if (input_grad) {
+      // dX_cols = W^T @ dY, folded onto sample b's zeroed input gradient.
+      simd::MatmulRowBlock(weight_t_.data(), gy, grad_columns_.data(), 0, kk,
+                           out_channels_, spatial);
+      Col2ImInto(grad_columns_.data(), in_channels_, in_h, in_w,
+                 kernel_size_, padding_, grad_input.data() + b * image_size);
+    }
+  }
+  if (ghost_norm_sq != nullptr) {  // geodp: per-sample
+    cached_grad_output_ = std::move(grad_output);
+  } else {
+    simd::Add(weight_.grad.data(), weight_grad_matrix_.data(),
+              weight_grad_matrix_.numel());
   }
   return grad_input;
 }
 
 void Conv2d::GhostAccumulate(const std::vector<double>& weights) {
   GEODP_CHECK(!cached_grad_output_.empty())
-      << "GhostAccumulate before GhostBackward";
+      << "GhostAccumulate before a ghost Backward";
   const int64_t batch = cached_grad_output_.dim(0);
   GEODP_CHECK_EQ(static_cast<int64_t>(weights.size()), batch);
-  const int64_t out_h = cached_grad_output_.dim(2);
-  const int64_t out_w = cached_grad_output_.dim(3);
-
   const int64_t kk = in_channels_ * kernel_size_ * kernel_size_;
-  const int64_t spatial = out_h * out_w;
+  const int64_t spatial =
+      cached_grad_output_.dim(2) * cached_grad_output_.dim(3);
   GEODP_CHECK_EQ(cached_columns_t_.numel(), batch * spatial * kk);
   weight_grad_matrix_.Fill(0.0f);
-  Tensor sample_grad({out_channels_, kk});  // geodp: per-sample (transient)
 
   for (int64_t b = 0; b < batch; ++b) {
     // Zero-weight samples (non-finite exclusions) are skipped outright —
@@ -242,17 +196,15 @@ void Conv2d::GhostAccumulate(const std::vector<double>& weights) {
     // Replay G_b = gy_b cols^T from the cached unfold, then fold it into
     // the batch sum under the clip weight.
     simd::MatmulRowBlock(gy, cols_t,
-                         sample_grad.data(),  // geodp: per-sample
+                         product_.data(),  // geodp: per-sample
                          0, out_channels_, spatial, kk);
     simd::ClipAxpy(weight_grad_matrix_.data(),
-                   sample_grad.data(),  // geodp: per-sample
+                   product_.data(),  // geodp: per-sample
                    static_cast<float>(scale), out_channels_ * kk);
     if (with_bias_) {
       for (int64_t oc = 0; oc < out_channels_; ++oc) {
-        double sum = 0.0;
-        for (int64_t i = 0; i < spatial; ++i)
-          sum += static_cast<double>(gy[oc * spatial + i]);
-        bias_.grad[oc] += static_cast<float>(scale * sum);
+        bias_.grad[oc] += static_cast<float>(
+            scale * RowSum(gy + oc * spatial, spatial));
       }
     }
   }

@@ -20,22 +20,16 @@ class Conv2d : public Layer {
          Rng& rng, int64_t padding = 0, bool with_bias = true);
 
   Tensor Forward(Tensor input) override;
-  Tensor Backward(const Tensor& grad_output) override;
-  std::vector<Parameter*> Parameters() override;
-
-  // Ghost clipping via the im2col unfolding: sample b's weight gradient
-  // is G_b = gy_b cols_b^T ([OC, IC*K*K]) — tiny next to a whole-model
-  // per-sample gradient — so its norm is taken and G_b discarded, then a
-  // second weighted pass accumulates.
-  bool SupportsGhostClip() override { return true; }
-  Tensor GhostBackward(
-      const Tensor& grad_output,
-      std::vector<double>& ghost_norm_sq) override;  // geodp: per-sample
+  // Both paths form sample b's weight gradient in the unfolded basis,
+  // G_b = gy_b cols_b^T ([OC, IC*K*K]). Materialize adds it to the
+  // parameter gradient. Ghost clipping takes its norm and discards it,
+  // then GhostAccumulate forms it again under the clip weight.
+  Tensor Backward(
+      Tensor grad_output,
+      std::vector<double>* ghost_norm_sq,  // geodp: per-sample norms out
+      bool input_grad) override;
   void GhostAccumulate(const std::vector<double>& weights) override;
-  // Skips each sample's W^T gy and Col2Im.
-  void BackwardParameters(
-      const Tensor& grad_output,
-      std::vector<double>* ghost_norm_sq) override;  // geodp: per-sample
+  std::vector<Parameter*> Parameters() override;
 
   std::string name() const override { return "Conv2d"; }
 
@@ -45,13 +39,6 @@ class Conv2d : public Layer {
   int64_t padding() const { return padding_; }
 
  private:
-  // With input_grad false these return an empty tensor and skip the
-  // input gradient.
-  Tensor BackwardPass(const Tensor& grad_output, bool input_grad);
-  Tensor GhostPass(const Tensor& grad_output,
-                   std::vector<double>& ghost_norm_sq,  // geodp: per-sample
-                   bool input_grad);
-
   int64_t in_channels_;
   int64_t out_channels_;
   int64_t kernel_size_;
@@ -62,18 +49,19 @@ class Conv2d : public Layer {
   Tensor cached_input_;
   // Per-sample scratch, reused across samples and calls:
   // one sample's unfold [IC*K*K, OH*OW] (the forward's; it keeps the last
-  // sample's for the backward), its transpose [OH*OW, IC*K*K], its weight
-  // gradient [OC, IC*K*K] and its input gradient's columns [IC*K*K, OH*OW].
+  // sample's for the backward), its transpose [OH*OW, IC*K*K] (the
+  // materialized backward's), its weight gradient G_b [OC, IC*K*K] and its
+  // input gradient's columns [IC*K*K, OH*OW].
   Tensor columns_;
   Tensor columns_t_;
   Tensor product_;
   Tensor grad_columns_;
-  // Per-call scratch of the backward and ghost passes: W^T
-  // [IC*K*K, OC] and the batch's weight gradient [OC, IC*K*K] before it
-  // joins the parameter's.
+  // Per-call scratch of Backward and GhostAccumulate: W^T [IC*K*K, OC]
+  // and the batch's weight gradient [OC, IC*K*K] before it joins the
+  // parameter's.
   Tensor weight_t_;
   Tensor weight_grad_matrix_;
-  Tensor cached_grad_output_;  // set by GhostBackward for GhostAccumulate
+  Tensor cached_grad_output_;  // set by a ghost Backward for GhostAccumulate
   // Per-sample unfolded input, stored transposed ([B, OH*OW, IC*K*K]) so
   // both ghost passes feed sample b's gy_b [OC, OH*OW] straight into the
   // matmul kernel against cols_b^T without re-running im2col. Activation

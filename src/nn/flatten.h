@@ -16,7 +16,10 @@ class Flatten : public Layer {
   Flatten() = default;
 
   Tensor Forward(Tensor input) override;
-  Tensor Backward(const Tensor& grad_output) override;
+  Tensor Backward(
+      Tensor grad_output,
+      std::vector<double>* ghost_norm_sq,  // geodp: per-sample norms out
+      bool input_grad) override;
   std::string name() const override { return "Flatten"; }
 
  private:

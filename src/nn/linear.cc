@@ -1,6 +1,7 @@
 #include "nn/linear.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "base/check.h"
 #include "base/simd/kernels.h"
@@ -42,45 +43,26 @@ Tensor Linear::Forward(Tensor input) {
   return output;
 }
 
-Tensor Linear::Backward(const Tensor& grad_output) {
-  AccumulateGradients(grad_output);
+Tensor Linear::Backward(
+    Tensor grad_output,
+    std::vector<double>* ghost_norm_sq,  // geodp: per-sample norms out
+    bool input_grad) {
+  GEODP_CHECK_EQ(grad_output.ndim(), 2);
+  GEODP_CHECK_EQ(grad_output.dim(0), cached_input_.dim(0));
+  GEODP_CHECK_EQ(grad_output.dim(1), out_features_);
   // dx[b, i] = sum_o dy[b, o] * W[o, i]
-  return Matmul(grad_output, weight_.value);
-}
-
-Tensor Linear::GhostBackward(
-    const Tensor& grad_output,
-    std::vector<double>& ghost_norm_sq) {  // geodp: per-sample norms out
-  AddGhostNorms(grad_output, ghost_norm_sq);  // geodp: per-sample
-  return Matmul(grad_output, weight_.value);
-}
-
-void Linear::BackwardParameters(
-    const Tensor& grad_output,
-    std::vector<double>* ghost_norm_sq) {  // geodp: per-sample norms out
+  Tensor grad_input =
+      input_grad ? Matmul(grad_output, weight_.value) : Tensor();
   if (ghost_norm_sq == nullptr) {  // geodp: per-sample
     AccumulateGradients(grad_output);
   } else {
     AddGhostNorms(grad_output, *ghost_norm_sq);  // geodp: per-sample
+    cached_grad_output_ = std::move(grad_output);
   }
+  return grad_input;
 }
 
 void Linear::AccumulateGradients(const Tensor& grad_output) {
-  GEODP_CHECK_EQ(grad_output.ndim(), 2);
-  GEODP_CHECK_EQ(grad_output.dim(0), cached_input_.dim(0));
-  GEODP_CHECK_EQ(grad_output.dim(1), out_features_);
-  const int64_t batch = grad_output.dim(0);
-  AddWeightGradient(grad_output);
-  if (with_bias_) {
-    for (int64_t b = 0; b < batch; ++b) {
-      for (int64_t o = 0; o < out_features_; ++o) {
-        bias_.grad[o] += grad_output[b * out_features_ + o];
-      }
-    }
-  }
-}
-
-void Linear::AddWeightGradient(const Tensor& grad_output) {
   // dW[o, i] += sum_b dy[b, o] * x[b, i], formed in scratch and then
   // added, so the product rounds on its own before joining the gradient.
   const int64_t batch = grad_output.dim(0);
@@ -93,14 +75,18 @@ void Linear::AddWeightGradient(const Tensor& grad_output) {
              weight_product_.data(), out_features_, batch, in_features_);
   simd::Add(weight_.grad.data(), weight_product_.data(),
             weight_product_.numel());
+  if (with_bias_) {
+    for (int64_t b = 0; b < batch; ++b) {
+      for (int64_t o = 0; o < out_features_; ++o) {
+        bias_.grad[o] += grad_output[b * out_features_ + o];
+      }
+    }
+  }
 }
 
 void Linear::AddGhostNorms(
     const Tensor& grad_output,
     std::vector<double>& ghost_norm_sq) {  // geodp: per-sample norms out
-  GEODP_CHECK_EQ(grad_output.ndim(), 2);
-  GEODP_CHECK_EQ(grad_output.dim(0), cached_input_.dim(0));
-  GEODP_CHECK_EQ(grad_output.dim(1), out_features_);
   const int64_t batch = grad_output.dim(0);
   GEODP_CHECK_EQ(ghost_norm_sq.size(),  // geodp: per-sample
                  static_cast<size_t>(batch));
@@ -116,12 +102,11 @@ void Linear::AddGhostNorms(
     ghost_norm_sq[static_cast<size_t>(b)] +=
         gy_sq * (with_bias_ ? x_sq + 1.0 : x_sq);
   }
-  cached_grad_output_ = grad_output;
 }
 
 void Linear::GhostAccumulate(const std::vector<double>& weights) {
   GEODP_CHECK(!cached_grad_output_.empty())
-      << "GhostAccumulate before GhostBackward";
+      << "GhostAccumulate before a ghost Backward";
   const int64_t batch = cached_grad_output_.dim(0);
   GEODP_CHECK_EQ(static_cast<int64_t>(weights.size()), batch);
   // Scale each sample's backprop row by its weight, then one matmul
@@ -140,14 +125,7 @@ void Linear::GhostAccumulate(const std::vector<double>& weights) {
           out_features_);
     }
   }
-  AddWeightGradient(scaled);
-  if (with_bias_) {
-    for (int64_t b = 0; b < batch; ++b) {
-      for (int64_t o = 0; o < out_features_; ++o) {
-        bias_.grad[o] += scaled[b * out_features_ + o];
-      }
-    }
-  }
+  AccumulateGradients(scaled);
 }
 
 std::vector<Parameter*> Linear::Parameters() {

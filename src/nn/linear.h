@@ -19,21 +19,15 @@ class Linear : public Layer {
          bool with_bias = true);
 
   Tensor Forward(Tensor input) override;
-  Tensor Backward(const Tensor& grad_output) override;
-  std::vector<Parameter*> Parameters() override;
-
-  // Ghost clipping (Goodfellow factorization): per-sample
+  // Ghost clipping uses the Goodfellow factorization: per-sample
   // ||dW_b||^2 = ||dy_b||^2 * ||x_b||^2 (+ ||dy_b||^2 for the bias) from
   // the cached activations, no per-sample gradient ever materialized.
-  bool SupportsGhostClip() override { return true; }
-  Tensor GhostBackward(
-      const Tensor& grad_output,
-      std::vector<double>& ghost_norm_sq) override;  // geodp: per-sample
+  Tensor Backward(
+      Tensor grad_output,
+      std::vector<double>* ghost_norm_sq,  // geodp: per-sample norms out
+      bool input_grad) override;
   void GhostAccumulate(const std::vector<double>& weights) override;
-  // Skips the input gradient dx = dy W.
-  void BackwardParameters(
-      const Tensor& grad_output,
-      std::vector<double>* ghost_norm_sq) override;  // geodp: per-sample
+  std::vector<Parameter*> Parameters() override;
 
   std::string name() const override { return "Linear"; }
 
@@ -44,10 +38,9 @@ class Linear : public Layer {
   Parameter& bias() { return bias_; }
 
  private:
-  // Backward and GhostBackward without the input gradient.
+  // weight grad += grad_output^T · cached input; bias grad += the
+  // column sums of grad_output.
   void AccumulateGradients(const Tensor& grad_output);
-  // weight grad += grad_output^T · cached input.
-  void AddWeightGradient(const Tensor& grad_output);
   void AddGhostNorms(
       const Tensor& grad_output,
       std::vector<double>& ghost_norm_sq);  // geodp: per-sample norms out
@@ -58,7 +51,7 @@ class Linear : public Layer {
   Parameter weight_;
   Parameter bias_;
   Tensor cached_input_;
-  Tensor cached_grad_output_;  // set by GhostBackward for GhostAccumulate
+  Tensor cached_grad_output_;  // set by a ghost Backward for GhostAccumulate
   // Scratch reused across calls: W^T for the forward product, and the
   // transposed output gradient and product of the weight gradient.
   Tensor weight_t_;

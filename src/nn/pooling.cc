@@ -58,7 +58,9 @@ Tensor MaxPool2d::Forward(Tensor input) {
   return output;
 }
 
-Tensor MaxPool2d::Backward(const Tensor& grad_output) {
+Tensor MaxPool2d::Backward(Tensor grad_output,
+                           std::vector<double>* /*ghost_norm_sq*/,
+                           bool /*input_grad*/) {
   GEODP_CHECK_EQ(static_cast<size_t>(grad_output.numel()), argmax_.size());
   Tensor grad_input(input_shape_);
   for (int64_t i = 0; i < grad_output.numel(); ++i) {
@@ -87,7 +89,9 @@ Tensor GlobalAvgPool::Forward(Tensor input) {
   return output;
 }
 
-Tensor GlobalAvgPool::Backward(const Tensor& grad_output) {
+Tensor GlobalAvgPool::Backward(Tensor grad_output,
+                               std::vector<double>* /*ghost_norm_sq*/,
+                               bool /*input_grad*/) {
   GEODP_CHECK_EQ(grad_output.ndim(), 2);
   const int64_t batch = input_shape_[0], channels = input_shape_[1];
   const int64_t spatial = input_shape_[2] * input_shape_[3];

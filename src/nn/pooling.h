@@ -17,7 +17,10 @@ class MaxPool2d : public Layer {
   explicit MaxPool2d(int64_t window);
 
   Tensor Forward(Tensor input) override;
-  Tensor Backward(const Tensor& grad_output) override;
+  Tensor Backward(
+      Tensor grad_output,
+      std::vector<double>* ghost_norm_sq,  // geodp: per-sample norms out
+      bool input_grad) override;
   std::string name() const override { return "MaxPool2d"; }
 
  private:
@@ -32,7 +35,10 @@ class GlobalAvgPool : public Layer {
   GlobalAvgPool() = default;
 
   Tensor Forward(Tensor input) override;
-  Tensor Backward(const Tensor& grad_output) override;
+  Tensor Backward(
+      Tensor grad_output,
+      std::vector<double>* ghost_norm_sq,  // geodp: per-sample norms out
+      bool input_grad) override;
   std::string name() const override { return "GlobalAvgPool"; }
 
  private:

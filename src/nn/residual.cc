@@ -1,5 +1,7 @@
 #include "nn/residual.h"
 
+#include <utility>
+
 #include "base/check.h"
 #include "tensor/tensor_ops.h"
 
@@ -18,13 +20,26 @@ Tensor ResidualBlock::Forward(Tensor input) {
   return relu_out_.Forward(std::move(branch));
 }
 
-Tensor ResidualBlock::Backward(const Tensor& grad_output) {
-  const Tensor grad_sum = relu_out_.Backward(grad_output);
-  // grad_sum flows both through the conv branch and the identity skip.
-  Tensor grad_input =
-      conv1_.Backward(relu1_.Backward(conv2_.Backward(grad_sum)));
-  grad_input.AddInPlace(grad_sum);
-  return grad_input;
+// grad_sum flows both through the conv branch, which gets a copy, and the
+// identity skip.
+Tensor ResidualBlock::Backward(
+    Tensor grad_output,
+    std::vector<double>* ghost_norm_sq,  // geodp: per-sample norms out
+    bool input_grad) {
+  const Tensor grad_sum =
+      relu_out_.Backward(std::move(grad_output), nullptr, true);
+  // geodp: per-sample (norms out; the input gradient is backprop)
+  Tensor grad = conv2_.Backward(Tensor(grad_sum), ghost_norm_sq, true);
+  grad = relu1_.Backward(std::move(grad), nullptr, true);  // geodp: per-sample
+  // geodp: per-sample
+  grad = conv1_.Backward(std::move(grad), ghost_norm_sq, input_grad);
+  if (input_grad) grad.AddInPlace(grad_sum);
+  return grad;  // geodp: per-sample
+}
+
+void ResidualBlock::GhostAccumulate(const std::vector<double>& weights) {
+  conv1_.GhostAccumulate(weights);
+  conv2_.GhostAccumulate(weights);
 }
 
 std::vector<Parameter*> ResidualBlock::Parameters() {

@@ -23,7 +23,13 @@ class ResidualBlock : public Layer {
   ResidualBlock(int64_t channels, Rng& rng);
 
   Tensor Forward(Tensor input) override;
-  Tensor Backward(const Tensor& grad_output) override;
+  // The block's parameters are those of conv1_ and conv2_, so its ghost
+  // norms are theirs added, and its accumulation theirs in turn.
+  Tensor Backward(
+      Tensor grad_output,
+      std::vector<double>* ghost_norm_sq,  // geodp: per-sample norms out
+      bool input_grad) override;
+  void GhostAccumulate(const std::vector<double>& weights) override;
   std::vector<Parameter*> Parameters() override;
   std::string name() const override { return "ResidualBlock"; }
 

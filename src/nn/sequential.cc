@@ -1,5 +1,7 @@
 #include "nn/sequential.h"
 
+#include <utility>
+
 #include "base/check.h"
 
 namespace geodp {
@@ -17,33 +19,25 @@ Tensor Sequential::Forward(Tensor input) {
   return input;
 }
 
-Tensor Sequential::Backward(const Tensor& grad_output) {
-  Tensor grad = grad_output;
-  for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
-    grad = (*it)->Backward(grad);
-  }
-  return grad;
-}
-
-void Sequential::BackwardParameters(
-    const Tensor& grad_output,
-    std::vector<double>* ghost_norm_sq) {  // geodp: per-sample norms out
+Tensor Sequential::Backward(
+    Tensor grad_output,
+    std::vector<double>* ghost_norm_sq,  // geodp: per-sample norms out
+    bool input_grad) {
   size_t first = 0;
-  while (first < layers_.size() && layers_[first]->Parameters().empty()) {
+  while (!input_grad && first < layers_.size() &&
+         layers_[first]->Parameters().empty()) {
     ++first;
   }
-  if (first == layers_.size()) return;
-  Tensor grad = grad_output;
-  for (size_t i = layers_.size() - 1; i > first; --i) {
-    Layer& layer = *layers_[i];
-    if (ghost_norm_sq == nullptr) {  // geodp: per-sample
-      grad = layer.Backward(grad);
-    } else {
-      grad = layer.GhostBackward(grad, *ghost_norm_sq);  // geodp: per-sample
-    }
+  for (size_t i = layers_.size(); i-- > first;) {
+    grad_output = layers_[i]->Backward(std::move(grad_output),
+                                       ghost_norm_sq,  // geodp: per-sample
+                                       input_grad || i > first);
   }
-  layers_[first]->BackwardParameters(grad,
-                                     ghost_norm_sq);  // geodp: per-sample
+  return grad_output;  // geodp: per-sample
+}
+
+void Sequential::GhostAccumulate(const std::vector<double>& weights) {
+  for (auto& layer : layers_) layer->GhostAccumulate(weights);
 }
 
 std::vector<Parameter*> Sequential::Parameters() {

@@ -29,14 +29,15 @@ class Sequential : public Layer {
   }
 
   Tensor Forward(Tensor input) override;
-  Tensor Backward(const Tensor& grad_output) override;
-  /// The backward walk of a training step: runs the layers in reverse down
-  /// to the first one that owns parameters, which gets BackwardParameters
-  /// so no layer computes a gradient nothing reads. Layers before it are
-  /// not run at all.
-  void BackwardParameters(
-      const Tensor& grad_output,
-      std::vector<double>* ghost_norm_sq) override;  // geodp: per-sample
+  /// Runs the layers in reverse. With input_grad false (the backward walk
+  /// of a training step) the walk ends at the first layer that owns
+  /// parameters, which is not asked for its input gradient, so no layer
+  /// computes a gradient nothing reads. Layers before it are not run.
+  Tensor Backward(
+      Tensor grad_output,
+      std::vector<double>* ghost_norm_sq,  // geodp: per-sample norms out
+      bool input_grad) override;
+  void GhostAccumulate(const std::vector<double>& weights) override;
   std::vector<Parameter*> Parameters() override;
   std::string name() const override { return name_.empty() ? "Sequential"
                                                            : name_; }

@@ -70,7 +70,7 @@ PrivateBatchGradient ComputePerSampleGradients(
         std::copy_n(image.data(), image.numel(), x.data());
         y[0] = dataset.label(index);
         block_losses[slot] = loss.Forward(model.Forward(x), y);
-        model.BackwardParameters(loss.Backward(), nullptr);
+        model.Backward(loss.Backward(), nullptr, /*input_grad=*/false);
         if (slot == block.size()) block.emplace_back(Tensor({flat_dim}));
         float* flat = block[slot].data();
         for (const Parameter* p : params) {

@@ -42,7 +42,7 @@ struct PrivateBatchGradient {
 
 /// Runs each indexed example through the model with batch size 1 (the
 /// backward walk ends at the first parameterized layer, see
-/// Sequential::BackwardParameters), clips its flattened gradient with
+/// Sequential::Backward), clips its flattened gradient with
 /// `clipper`, and returns the clipped average. Set `for_step_record` to
 /// also fill averaged_raw and sample_grad_norms. Leaves the accumulated
 /// parameter gradients zeroed.

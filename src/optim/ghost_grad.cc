@@ -7,19 +7,11 @@
 
 namespace geodp {
 
-bool GhostClipSupported(Sequential& model) {
-  for (size_t i = 0; i < model.size(); ++i) {
-    if (!model.layer(i).SupportsGhostClip()) return false;
-  }
-  return true;
-}
-
 PrivateBatchGradient ComputeGhostClippedGradients(
     Sequential& model, SoftmaxCrossEntropy& loss,
     const InMemoryDataset& dataset, const std::vector<int64_t>& indices,
     const Clipper& clipper, bool for_step_record) {
   GEODP_CHECK(!indices.empty());
-  GEODP_CHECK(GhostClipSupported(model));
   const std::vector<Parameter*> params = model.Parameters();
 
   PrivateBatchGradient result;
@@ -36,8 +28,8 @@ PrivateBatchGradient ComputeGhostClippedGradients(
     ZeroGradients(params);
     const std::vector<int64_t> y = dataset.GatherLabels(indices);
     loss.Forward(model.Forward(dataset.StackImages(indices)), y);
-    model.BackwardParameters(loss.BackwardSum(),
-                             &ghost_norm_sq);  // geodp: per-sample
+    model.Backward(loss.BackwardSum(), &ghost_norm_sq,  // geodp: per-sample
+                   /*input_grad=*/false);
   }
 
   const GhostClipper ghost(clipper);
@@ -49,20 +41,16 @@ PrivateBatchGradient ComputeGhostClippedGradients(
   // Flattening between the passes keeps each sum in its own buffer.
   {
     const TraceSpan span("step.ghost_accumulate");
-    for (size_t i = 0; i < model.size(); ++i) {
-      // Weights come out of GhostClipper::Weights with the clip threshold
-      // already applied (clipped entries) or as 0/1 inclusion indicators
-      // (raw entries), so each sample's contribution to the accumulated
-      // gradient is sensitivity-bounded from here on.
-      // geodp: sensitivity-checked clip scale applied by GhostClipper::Weights
-      model.layer(i).GhostAccumulate(weights.clipped);
-    }
+    // Weights come out of GhostClipper::Weights with the clip threshold
+    // already applied (clipped entries) or as 0/1 inclusion indicators
+    // (raw entries), so each sample's contribution to the accumulated
+    // gradient is sensitivity-bounded from here on.
+    // geodp: sensitivity-checked clip scale applied by GhostClipper::Weights
+    model.GhostAccumulate(weights.clipped);
     result.averaged_clipped = FlattenGradients(params);
     ZeroGradients(params);
     if (for_step_record) {
-      for (size_t i = 0; i < model.size(); ++i) {
-        model.layer(i).GhostAccumulate(weights.raw);
-      }
+      model.GhostAccumulate(weights.raw);
       result.averaged_raw = FlattenGradients(params);
       ZeroGradients(params);
     }

@@ -24,20 +24,13 @@
 
 namespace geodp {
 
-/// True when every layer of the model implements the ghost-clipping
-/// protocol (SupportsGhostClip). Parameter-free layers always qualify;
-/// a model with any parameterized layer lacking ghost hooks must fall
-/// back to the materialized path.
-bool GhostClipSupported(Sequential& model);
-
 /// Ghost-clipped drop-in for ComputePerSampleGradients: same inputs,
 /// same PrivateBatchGradient semantics (averages divided by the full
 /// batch size, non-finite samples contributing exactly zero,
 /// sample_losses batch-aligned with raw values), but computed without
-/// ever materializing a per-sample gradient. Requires
-/// GhostClipSupported(model). `for_step_record` fills averaged_raw and
-/// sample_grad_norms, as for ComputePerSampleGradients. Leaves the
-/// accumulated parameter gradients zeroed.
+/// ever materializing a per-sample gradient. `for_step_record` fills
+/// averaged_raw and sample_grad_norms, as for ComputePerSampleGradients.
+/// Leaves the accumulated parameter gradients zeroed.
 PrivateBatchGradient ComputeGhostClippedGradients(
     Sequential& model, SoftmaxCrossEntropy& loss,
     const InMemoryDataset& dataset, const std::vector<int64_t>& indices,

@@ -759,6 +759,13 @@ Status ValidateTrainerOptions(const TrainerOptions& options,
       {options.selective_update && options.epsilon_budget > 0.0,
        "selective_update cannot run with an epsilon_budget: its accept "
        "test is not charged to the accountant"},
+      // An importance lot is drawn with replacement, by weights computed
+      // from private losses: the accountant's Poisson lot at q = B/N does
+      // not describe it.
+      {options.importance_sampling && options.epsilon_budget > 0.0,
+       "importance_sampling cannot run with an epsilon_budget: its lots "
+       "are drawn with replacement by private-loss weights, which the "
+       "accountant does not charge"},
       // A Poisson lot ignores the importance weights.
       {options.importance_sampling && options.poisson_sampling,
        "importance_sampling and poisson_sampling are mutually exclusive"},
@@ -788,11 +795,6 @@ DpTrainer::DpTrainer(Sequential* model, const InMemoryDataset* train,
 StatusOr<TrainingResult> DpTrainer::Run() {
   const Status valid = ValidateTrainerOptions(options_, train_->size());
   if (!valid.ok()) return valid;
-  if (options_.clip_mode == "ghost" && !GhostClipSupported(*model_)) {
-    return Status::InvalidArgument(
-        "clip_mode \"ghost\" requires every model layer to support ghost "
-        "clipping; use clip_mode \"materialize\" for this model");
-  }
 
   RunState state(options_, *model_, *train_);
   int64_t attempt = 0;

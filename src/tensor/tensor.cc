@@ -65,7 +65,7 @@ int64_t Tensor::dim(int i) const {
   return shape_[static_cast<size_t>(i)];
 }
 
-Tensor Tensor::Reshape(std::vector<int64_t> new_shape) const {
+Tensor Tensor::Reshape(std::vector<int64_t> new_shape) && {
   int64_t known = 1;
   int infer_axis = -1;
   for (size_t i = 0; i < new_shape.size(); ++i) {
@@ -83,9 +83,8 @@ Tensor Tensor::Reshape(std::vector<int64_t> new_shape) const {
     known *= new_shape[static_cast<size_t>(infer_axis)];
   }
   GEODP_CHECK_EQ(known, numel()) << "reshape changes element count";
-  Tensor t = *this;
-  t.shape_ = std::move(new_shape);
-  return t;
+  shape_ = std::move(new_shape);
+  return std::move(*this);
 }
 
 void Tensor::Fill(float value) {

@@ -10,6 +10,7 @@
 #define GEODP_TENSOR_TENSOR_H_
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "base/check.h"
@@ -68,9 +69,13 @@ class Tensor {
     return data_[static_cast<size_t>(i)];
   }
 
-  /// Returns a copy with a new shape; element count must match. A -1 extent
-  /// is inferred from the remaining dimensions.
-  Tensor Reshape(std::vector<int64_t> new_shape) const;
+  /// Returns the tensor with a new shape; element count must match. A -1
+  /// extent is inferred from the remaining dimensions. An lvalue is
+  /// copied; an rvalue's data moves into the result.
+  Tensor Reshape(std::vector<int64_t> new_shape) const& {
+    return Tensor(*this).Reshape(std::move(new_shape));
+  }
+  Tensor Reshape(std::vector<int64_t> new_shape) &&;
 
   /// Deep copy (same as copy construction, named for readability).
   Tensor Clone() const { return *this; }

@@ -178,7 +178,7 @@ TEST(AutogradCrossCheckTest, LinearLayerMatchesGraph) {
   const auto params = layer.Parameters();
   ZeroGradients(params);
   const double manual_loss = loss.Forward(layer.Forward(x), labels);
-  layer.Backward(loss.Backward());
+  layer.Backward(loss.Backward(), nullptr, true);
   const Tensor manual_dw = params[0]->grad;
   const Tensor manual_db = params[1]->grad;
 
@@ -210,7 +210,7 @@ TEST(AutogradCrossCheckTest, TwoLayerMlpMatchesGraph) {
   const auto params = net.Parameters();
   ZeroGradients(params);
   const double manual_loss = loss.Forward(net.Forward(x), labels);
-  net.Backward(loss.Backward());
+  net.Backward(loss.Backward(), nullptr, true);
   const Tensor manual_grads = FlattenGradients(params);
 
   Graph g;

@@ -407,6 +407,25 @@ TEST(GeodpLintR2v2, GhostAccumulatorEscapesThroughCallAndReturn) {
   EXPECT_NE(findings[1].message.find("through return"), std::string::npos);
 }
 
+TEST(GeodpLintR2v2, BackwardSumResultIsAPerSampleSource) {
+  // Neither the receiver nor the local has a per-sample name: only the
+  // source-call list ties the summed loss's per-sample rows to the local
+  // that is returned.
+  const std::string code =
+      "Tensor LossRows(SoftmaxCrossEntropy& loss) {\n"
+      "  Tensor rows = loss.BackwardSum();\n"
+      "  return rows;\n"
+      "}\n";
+  const std::vector<Finding> findings =
+      LintContent("src/optim/loss_rows.cc", code);
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_EQ(findings[0].rule, RuleId::kR2PrivacyBoundary);
+  EXPECT_EQ(findings[0].line, 3);
+  EXPECT_NE(findings[0].message.find("escapes via local 'rows'"),
+            std::string::npos);
+  EXPECT_NE(findings[0].message.find("through return"), std::string::npos);
+}
+
 TEST(GeodpLintR2v2, FlightRecorderRecordOnALocalIsAReleaseSink) {
   // The fixture pairs two identical shapes: Record() on a local recorder
   // (must report — the ring buffer outlives the step and surfaces on

@@ -11,6 +11,8 @@
 #include <cstring>
 #include <limits>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "base/crc32.h"
@@ -129,7 +131,7 @@ std::vector<Tensor> MaterializedPerSampleGrads(Layer& layer, const Tensor& x,
     std::memcpy(gyb.data(), gy.data() + b * out_stride,
                 static_cast<size_t>(out_stride) * sizeof(float));
     layer.Forward(xb);
-    Tensor gib = layer.Backward(gyb);
+    Tensor gib = layer.Backward(std::move(gyb), nullptr, true);
     if (grad_in != nullptr) grad_in->push_back(std::move(gib));
     grads.push_back(FlattenGradients(params));
   }
@@ -157,7 +159,7 @@ void CheckLayerGhostHooks(LayerT& layer, const Tensor& x, const Tensor& gy,
   // the input gradient must match the batched materialized backward.
   layer.Forward(x);
   std::vector<double> ghost_norm_sq(static_cast<size_t>(batch), 0.0);
-  const Tensor grad_input = layer.GhostBackward(gy, ghost_norm_sq);
+  const Tensor grad_input = layer.Backward(gy, &ghost_norm_sq, true);
   const int64_t in_stride = x.numel() / batch;
   for (int64_t b = 0; b < batch; ++b) {
     const double want = SquaredNorm(per_sample[static_cast<size_t>(b)]);
@@ -221,7 +223,7 @@ TEST(LinearGhostTest, ZeroWeightExcludesNonFiniteSampleStructurally) {
 
   layer.Forward(x);
   std::vector<double> ghost_norm_sq(2, 0.0);
-  layer.GhostBackward(gy, ghost_norm_sq);
+  layer.Backward(gy, &ghost_norm_sq, true);
   EXPECT_FALSE(std::isfinite(ghost_norm_sq[0]));
   EXPECT_TRUE(std::isfinite(ghost_norm_sq[1]));
 
@@ -244,7 +246,7 @@ TEST(Conv2dGhostTest, ZeroWeightExcludesNonFiniteSampleStructurally) {
 
   layer.Forward(x);
   std::vector<double> ghost_norm_sq(2, 0.0);
-  layer.GhostBackward(gy, ghost_norm_sq);
+  layer.Backward(gy, &ghost_norm_sq, true);
   EXPECT_FALSE(std::isfinite(ghost_norm_sq[0]));
 
   layer.GhostAccumulate({0.0, 1.0});
@@ -257,18 +259,28 @@ TEST(Conv2dGhostTest, ZeroWeightExcludesNonFiniteSampleStructurally) {
 
 // ------------------------------------------------------- full-model driver
 
-TEST(GhostGradTest, SupportDetection) {
-  Rng rng(31);
-  CnnConfig config;
-  auto cnn = MakeCnn(config, rng);
-  EXPECT_TRUE(GhostClipSupported(*cnn));
-  auto logreg = MakeLogisticRegression(64, 10, rng);
-  EXPECT_TRUE(GhostClipSupported(*logreg));
+// A layer that owns parameters but keeps the default GhostAccumulate
+// would drop its gradients from the ghost sums; the default refuses it.
+class ParameterizedWithoutAccumulate : public Layer {
+ public:
+  Tensor Forward(Tensor input) override { return input; }
+  Tensor Backward(Tensor grad_output, std::vector<double>* /*norms*/,
+                  bool /*input_grad*/) override {
+    return grad_output;
+  }
+  std::vector<Parameter*> Parameters() override { return {&weight_}; }
+  std::string name() const override { return "ParameterizedWithoutAccumulate"; }
 
-  // ResidualBlock has parameters but no ghost hooks, so ResNet must be
-  // reported unsupported.
-  auto resnet = MakeResNet(ResNetConfig{}, rng);
-  EXPECT_FALSE(GhostClipSupported(*resnet));
+ private:
+  Parameter weight_{"weight", Tensor({2})};
+};
+
+TEST(GhostGradDeathTest, DefaultAccumulateRefusesALayerWithParameters) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  ParameterizedWithoutAccumulate layer;
+  EXPECT_DEATH(layer.GhostAccumulate({1.0}), "does not accumulate");
+  ReLU relu;
+  relu.GhostAccumulate({1.0});
 }
 
 TEST(GhostGradTest, ClipBoundHolds) {
@@ -339,24 +351,36 @@ class GhostTierTest : public ::testing::Test {
   SimdTier entry_tier_ = SimdTier::kScalar;
 };
 
+// The CNN and a small ResNet, whose residual blocks route the ghost norms
+// through both convolutions of each block.
 TEST_F(GhostTierTest, CnnMatchesMaterializedAcrossBatchesAndTiers) {
   SyntheticImageOptions data_options;
   data_options.num_examples = 80;
   data_options.seed = 5;
   const InMemoryDataset train = MakeSyntheticImages(data_options);
   Rng rng(41);
-  CnnConfig config;
-  auto model = MakeCnn(config, rng);
+  ResNetConfig resnet_config;
+  resnet_config.in_channels = 1;
+  resnet_config.image_size = 14;
+  resnet_config.width = 4;
+  resnet_config.num_blocks = 2;
+  std::unique_ptr<Sequential> models[] = {MakeCnn(CnnConfig{}, rng),
+                                          MakeResNet(resnet_config, rng)};
   const FlatClipper clipper(0.1);
 
-  for (const SimdTier tier : AvailableSimdTiers()) {
-    SetSimdTier(tier);
-    SCOPED_TRACE(std::string("tier ") + SimdTierName(tier));
-    for (const int64_t batch : {int64_t{1}, int64_t{7}, int64_t{64}}) {
-      SCOPED_TRACE("batch " + std::to_string(batch));
-      std::vector<int64_t> indices(static_cast<size_t>(batch));
-      for (int64_t i = 0; i < batch; ++i) indices[static_cast<size_t>(i)] = i;
-      CheckEquivalence(*model, train, indices, clipper);
+  for (auto& model : models) {
+    SCOPED_TRACE(model->name());
+    for (const SimdTier tier : AvailableSimdTiers()) {
+      SetSimdTier(tier);
+      SCOPED_TRACE(std::string("tier ") + SimdTierName(tier));
+      for (const int64_t batch : {int64_t{1}, int64_t{7}, int64_t{64}}) {
+        SCOPED_TRACE("batch " + std::to_string(batch));
+        std::vector<int64_t> indices(static_cast<size_t>(batch));
+        for (int64_t i = 0; i < batch; ++i) {
+          indices[static_cast<size_t>(i)] = i;
+        }
+        CheckEquivalence(*model, train, indices, clipper);
+      }
     }
   }
 }
@@ -414,30 +438,31 @@ TEST(GhostGradTest, BitIdenticalAcrossThreadCounts) {
             0);
 }
 
-// Counts the backward calls a layer is asked for. Backward and
-// GhostBackward are the calls that return dL/d(input).
+// Counts the backward calls a layer gets, and those that ask it for
+// dL/d(input).
 class CountingFlatten : public Flatten {
  public:
-  Tensor Backward(const Tensor& grad_output) override {
-    ++input_grads;
-    return Flatten::Backward(grad_output);
+  Tensor Backward(Tensor grad_output,
+                  std::vector<double>* ghost_norm_sq,  // geodp: per-sample
+                  bool input_grad) override {
+    ++calls;
+    return Flatten::Backward(std::move(grad_output),
+                             ghost_norm_sq,  // geodp: per-sample
+                             input_grad);
   }
-  int input_grads = 0;
+  int calls = 0;
 };
 
 class CountingLinear : public Linear {
  public:
   using Linear::Linear;
-  Tensor Backward(const Tensor& grad_output) override {
-    ++input_grads;
-    return Linear::Backward(grad_output);
-  }
-  Tensor GhostBackward(
-      const Tensor& grad_output,
-      std::vector<double>& ghost_norm_sq) override {  // geodp: per-sample
-    ++input_grads;
-    return Linear::GhostBackward(grad_output,
-                                 ghost_norm_sq);  // geodp: per-sample
+  Tensor Backward(Tensor grad_output,
+                  std::vector<double>* ghost_norm_sq,  // geodp: per-sample
+                  bool input_grad) override {
+    input_grads += input_grad ? 1 : 0;
+    return Linear::Backward(std::move(grad_output),
+                            ghost_norm_sq,  // geodp: per-sample
+                            input_grad);
   }
   void GhostAccumulate(const std::vector<double>& weights) override {
     ++accumulates;
@@ -449,8 +474,8 @@ class CountingLinear : public Linear {
 
 // The step releases only the clipped sum: the raw sum (and the per-sample
 // norms) are built only for a step record, and the backward walk never
-// asks the first parameterized layer, or any layer before it, for its
-// input gradient.
+// asks the first parameterized layer for its input gradient, nor runs any
+// layer before it.
 TEST(GhostGradTest, GradientPassComputesOnlyWhatTheStepReads) {
   const InMemoryDataset train = MakeTrainSet(12, 9);
   Rng rng(10);
@@ -471,7 +496,7 @@ TEST(GhostGradTest, GradientPassComputesOnlyWhatTheStepReads) {
     for (const bool for_step_record : {false, true}) {
       SCOPED_TRACE(ghost ? "ghost" : "materialize");
       SCOPED_TRACE(for_step_record ? "step record" : "no step record");
-      flatten.input_grads = first.input_grads = last.input_grads = 0;
+      flatten.calls = first.input_grads = last.input_grads = 0;
       first.accumulates = last.accumulates = 0;
       const PrivateBatchGradient grads =
           ghost ? ComputeGhostClippedGradients(model, loss, train, indices,
@@ -487,7 +512,7 @@ TEST(GhostGradTest, GradientPassComputesOnlyWhatTheStepReads) {
         EXPECT_TRUE(grads.averaged_raw.empty());
         EXPECT_TRUE(grads.sample_grad_norms.empty());
       }
-      EXPECT_EQ(flatten.input_grads, 0);
+      EXPECT_EQ(flatten.calls, 0);
       EXPECT_EQ(first.input_grads, 0);
       // Ghost runs one batched backward, materialize one per sample.
       EXPECT_EQ(last.input_grads, ghost ? 1 : 12);
@@ -789,26 +814,6 @@ TEST(TrainerGhostTest, NonFiniteSamplesAreSkippedNotPropagated) {
   for (int64_t i = 0; i < flat.numel(); ++i) {
     ASSERT_TRUE(std::isfinite(flat[i])) << "weight " << i;
   }
-}
-
-TEST(TrainerGhostTest, UnsupportedModelRejected) {
-  const InMemoryDataset train = MakeTrainSet(32, 1);
-  Rng rng(3);
-  ResNetConfig config;
-  config.in_channels = 1;
-  config.image_size = 8;
-  config.width = 4;
-  config.num_blocks = 1;
-  auto model = MakeResNet(config, rng);
-  TrainerOptions options;
-  options.clip_mode = "ghost";
-  options.batch_size = 16;
-  options.iterations = 5;
-  DpTrainer trainer(model.get(), &train, nullptr, options);
-  StatusOr<TrainingResult> run = trainer.Run();
-  ASSERT_FALSE(run.ok());
-  EXPECT_EQ(run.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(run.status().ToString().find("ghost"), std::string::npos);
 }
 
 TEST(TrainerGhostTest, InvalidClipModeAndClipperNamesRejected) {

@@ -125,7 +125,7 @@ TEST(ModelsTest, TrainingReducesLossOnToyData) {
     const auto params = model.Parameters();
     ZeroGradients(params);
     const double before = loss.Forward(model.Forward(x), y);
-    model.Backward(loss.Backward());
+    model.Backward(loss.Backward(), nullptr, true);
     const Tensor grad = FlattenGradients(params);
     ApplyFlatUpdate(params, grad, lr);
     const double after = loss.Forward(model.Forward(x), y);

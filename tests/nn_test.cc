@@ -5,6 +5,7 @@
 #include <cstring>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -166,7 +167,7 @@ TEST(MaxPoolTest, BackwardRoutesToArgmax) {
   const Tensor x = Tensor::FromVector({1, 1, 2, 2}, {1, 5, 3, 2});
   pool.Forward(x);
   const Tensor gy = Tensor::FromVector({1, 1, 1, 1}, {7});
-  const Tensor gx = pool.Backward(gy);
+  const Tensor gx = pool.Backward(gy, nullptr, true);
   EXPECT_EQ(gx[0], 0.0f);
   EXPECT_EQ(gx[1], 7.0f);
   EXPECT_EQ(gx[2], 0.0f);
@@ -225,8 +226,25 @@ TEST(FlattenTest, RoundTripShapes) {
   const Tensor y = flatten.Forward(x);
   EXPECT_EQ(y.dim(0), 2);
   EXPECT_EQ(y.dim(1), 60);
-  const Tensor gx = flatten.Backward(y);
+  const Tensor gx = flatten.Backward(y, nullptr, true);
   EXPECT_EQ(gx.shape(), x.shape());
+}
+
+TEST(FlattenTest, ReshapesTheTensorItOwnsWithoutCopying) {
+  Flatten flatten;
+  Rng rng(17);
+  Tensor x = Tensor::Randn({2, 3, 4, 5}, rng);
+  const Tensor want = x;
+  const float* data = x.data();
+  Tensor y = flatten.Forward(std::move(x));
+  EXPECT_EQ(y.data(), data);
+  EXPECT_EQ(y.shape(), (std::vector<int64_t>{2, 60}));
+  const Tensor gx = flatten.Backward(std::move(y), nullptr, true);
+  EXPECT_EQ(gx.data(), data);
+  EXPECT_EQ(gx.shape(), want.shape());
+  EXPECT_EQ(std::memcmp(gx.data(), want.data(),
+                        static_cast<size_t>(want.numel()) * sizeof(float)),
+            0);
 }
 
 TEST(SoftmaxCrossEntropyTest, UniformLogitsGiveLogK) {
@@ -447,12 +465,12 @@ TEST(ReLUTest, ForwardAndMaskMatchHistoricalLoopBitForBit) {
   // the in-place forward must leave the same mask as the copying one.
   ReLU relu;
   EXPECT_EQ(FirstBitMismatch(relu.Forward(x), want), -1);
-  EXPECT_EQ(FirstBitMismatch(relu.Backward(Full(x.shape(), 1.0f)),
-                             want_mask),
+  EXPECT_EQ(FirstBitMismatch(
+                relu.Backward(Full(x.shape(), 1.0f), nullptr, true), want_mask),
             -1);
   EXPECT_EQ(FirstBitMismatch(relu.Forward(Tensor(x)), want), -1);
-  EXPECT_EQ(FirstBitMismatch(relu.Backward(Full(x.shape(), 1.0f)),
-                             want_mask),
+  EXPECT_EQ(FirstBitMismatch(
+                relu.Backward(Full(x.shape(), 1.0f), nullptr, true), want_mask),
             -1);
 }
 
@@ -482,7 +500,9 @@ TEST(ReLUTest, BackwardMatchesHistoricalMaskMultiplyBitForBit) {
     for (int64_t i = 0; i < g.numel(); ++i) want_grad[i] *= mask[i];
     ReLU relu;
     EXPECT_EQ(FirstBitMismatch(relu.Forward(x), want), -1) << seed;
-    EXPECT_EQ(FirstBitMismatch(relu.Backward(g), want_grad), -1) << seed;
+    EXPECT_EQ(FirstBitMismatch(relu.Backward(g, nullptr, true), want_grad),
+              -1)
+        << seed;
   }
 }
 
@@ -528,7 +548,8 @@ TEST(MaxPoolTest, ForwardAndArgmaxMatchHistoricalLoopBitForBit) {
       SCOPED_TRACE(SimdTierName(tier));
       MaxPool2d pool(window);
       EXPECT_EQ(FirstBitMismatch(pool.Forward(x), want), -1);
-      EXPECT_EQ(FirstBitMismatch(pool.Backward(gy), want_gx), -1);
+      EXPECT_EQ(
+          FirstBitMismatch(pool.Backward(gy, nullptr, true), want_gx), -1);
     }
   }
   SetSimdTier(entry_tier);
@@ -638,7 +659,9 @@ TEST(Conv2dTest, Im2ColMatchesHistoricalCompositionBitForBit) {
                      std::to_string(s.in_c));
         ZeroGradients(params);
         EXPECT_EQ(FirstBitMismatch(layer.Forward(x), want.output), -1);
-        EXPECT_EQ(FirstBitMismatch(layer.Backward(gy), want.grad_input), -1);
+        EXPECT_EQ(FirstBitMismatch(layer.Backward(gy, nullptr, true),
+                                   want.grad_input),
+                  -1);
         EXPECT_EQ(FirstBitMismatch(params[0]->grad, want.weight_grad), -1);
         if (s.with_bias) {
           EXPECT_EQ(FirstBitMismatch(params[1]->grad, want.bias_grad), -1);
@@ -646,7 +669,7 @@ TEST(Conv2dTest, Im2ColMatchesHistoricalCompositionBitForBit) {
         // The parameter-only walk leaves out dX but not dW or db.
         ZeroGradients(params);
         layer.Forward(x);
-        layer.BackwardParameters(gy, nullptr);
+        EXPECT_TRUE(layer.Backward(gy, nullptr, false).empty());
         EXPECT_EQ(FirstBitMismatch(params[0]->grad, want.weight_grad), -1);
         if (s.with_bias) {
           EXPECT_EQ(FirstBitMismatch(params[1]->grad, want.bias_grad), -1);
@@ -690,13 +713,15 @@ TEST(Conv2dTest, Im2ColBackwardFollowsTheLastForward) {
         ZeroGradients(params);
         layer.Forward(other);
         EXPECT_EQ(FirstBitMismatch(layer.Forward(x), want.output), -1);
-        EXPECT_EQ(FirstBitMismatch(layer.Backward(gy), want.grad_input), -1);
+        EXPECT_EQ(FirstBitMismatch(layer.Backward(gy, nullptr, true),
+                                   want.grad_input),
+                  -1);
         EXPECT_EQ(FirstBitMismatch(params[0]->grad, want.weight_grad), -1);
         EXPECT_EQ(FirstBitMismatch(params[1]->grad, want.bias_grad), -1);
         ZeroGradients(params);
         layer.Forward(other);
         layer.Forward(x);
-        layer.BackwardParameters(gy, nullptr);
+        EXPECT_TRUE(layer.Backward(gy, nullptr, false).empty());
         EXPECT_EQ(FirstBitMismatch(params[0]->grad, want.weight_grad), -1);
         EXPECT_EQ(FirstBitMismatch(params[1]->grad, want.bias_grad), -1);
       }

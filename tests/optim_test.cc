@@ -62,7 +62,7 @@ TEST(PerSampleGradientTest, AverageMatchesBatchGradient) {
   ZeroGradients(params);
   const Tensor x = ds.StackImages(indices);
   loss.Forward(model->Forward(x), ds.GatherLabels(indices));
-  model->Backward(loss.Backward());
+  model->Backward(loss.Backward(), nullptr, true);
   const Tensor batch_grad = FlattenGradients(params);
 
   EXPECT_LT(MaxAbsDiff(per_sample.averaged_raw, batch_grad), 1e-4);

@@ -40,7 +40,8 @@ inline GradCheckResult CheckGradients(Layer& layer, const Tensor& input,
   const std::vector<Parameter*> params = layer.Parameters();
   ZeroGradients(params);
   layer.Forward(input);
-  const Tensor analytic_input_grad = layer.Backward(coefficients);
+  const Tensor analytic_input_grad =
+      layer.Backward(coefficients, nullptr, true);
   const Tensor analytic_param_grad = FlattenGradients(params);
 
   GradCheckResult result;

@@ -406,6 +406,25 @@ TEST(DpTrainerTest, InvalidOptionsReturnDescriptiveStatus) {
   ExpectInvalid(train, options, "poisson_sampling");
 }
 
+// An importance lot is drawn with replacement by private-loss weights, so
+// the accountant's epsilon does not describe it: a budget is refused, and
+// without one the run goes ahead.
+TEST(DpTrainerTest, ImportanceSamplingWithEpsilonBudgetIsRefused) {
+  const InMemoryDataset train = MakeTrainSet(32, 1);
+  TrainerOptions options;
+  options.batch_size = 16;
+  options.iterations = 5;
+  options.importance_sampling = true;
+  options.epsilon_budget = 2.0;
+  ExpectInvalid(train, options, "importance_sampling");
+
+  options.epsilon_budget = 0.0;
+  auto model = MakeModel(2);
+  DpTrainer trainer(model.get(), &train, nullptr, options);
+  const StatusOr<TrainingResult> run = trainer.Run();
+  EXPECT_TRUE(run.ok()) << run.status().ToString();
+}
+
 TEST(DpTrainerTest, EmptyDatasetIsRejectedNotCrashed) {
   const InMemoryDataset empty;
   auto model = MakeModel(2);
@@ -630,6 +649,8 @@ TEST(GoldenMatrixTest, EveryRowReproducesItsFingerprintsPerTierAndThreads) {
      {0xedf52a25u, 0x61f8b214u}, {0xa3af5035u, 0x76a6e26du}, {0x0007d0feu, 0x0007d0feu}},
     {kGeoDp, kMat,   kIs,      true,  true,  true,  kCnn,    8,
      {0x145cfb0cu, 0x3df70664u}, {0xb2f24956u, 0x76226076u}, {0x6eb80025u, 0x6eb80025u}},
+    {kGeoDp, kGhost, kPoisson, false, false, true,  kResNet, 8,
+     {0xbdb1263fu, 0xeafb1387u}, {0x122574e8u, 0xf39caed2u}, {0x883f8081u, 0x883f8081u}},
   };
   // clang-format on
   const InMemoryDataset train = MakeTrainSet(kMatrixExamples, 76);

@@ -12,10 +12,10 @@ namespace {
 constexpr size_t kNpos = static_cast<size_t>(-1);
 
 // Calls whose return value (or out-parameter) is per-sample data even when
-// every argument is clean: the batched ghost-clipping backward entry
-// points. Row b of BackwardSum is the gradient of sample b's own loss.
-constexpr std::array<std::string_view, 2> kPerSampleSourceCalls = {
-    "GhostBackward", "BackwardSum"};
+// every argument is clean. Row b of BackwardSum is the gradient of sample
+// b's own loss.
+constexpr std::array<std::string_view, 1> kPerSampleSourceCalls = {
+    "BackwardSum"};
 
 // Free functions that only read a value: feeding them a tainted argument
 // computes with it but does not release it. Everything not listed is

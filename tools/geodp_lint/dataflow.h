@@ -8,8 +8,7 @@
 // Taint model (per function body, no interprocedural propagation):
 //   sources     — identifiers matching the per-sample patterns (rules.h),
 //                 parameters declared on a `// geodp: per-sample` line, and
-//                 calls into known per-sample APIs (GhostBackward,
-//                 BackwardSum).
+//                 calls into known per-sample APIs (BackwardSum).
 //   propagation — assignment and compound assignment (`x = t`, `x += t[i]`,
 //                 arithmetic on the right-hand side, container subscripts),
 //                 range-for over a tainted range, construction from tainted
