@@ -39,14 +39,14 @@ void BM_DpPerturb(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * dim);
 }
 
-void BM_GeoDpPerturb(benchmark::State& state) {
+void BM_GeoDpPerturb(benchmark::State& state, double beta) {
   const int64_t dim = state.range(0);
   const int64_t batch = state.range(1);
   GeoDpOptions options;
   options.base.clip_threshold = 0.1;
   options.base.batch_size = batch;
   options.base.noise_multiplier = 1.0;
-  options.beta = 0.1;
+  options.beta = beta;
   const GeoDpPerturber perturber(options);
   const Tensor g = MakeGradient(dim);
   Rng rng(1);
@@ -93,7 +93,16 @@ void DimBatchArgs(benchmark::internal::Benchmark* b) {
 }
 
 BENCHMARK(BM_DpPerturb)->Apply(DimBatchArgs);
-BENCHMARK(BM_GeoDpPerturb)->Apply(DimBatchArgs);
+BENCHMARK_CAPTURE(BM_GeoDpPerturb, fig6, 0.1)
+    ->Name("BM_GeoDpPerturb")
+    ->Apply(DimBatchArgs);
+// The release of e2ebench's mlp_geodp_wide (d = 158,986, B = 64,
+// beta = 0.01): the sine product underflows within the first few thousand
+// coordinates, so ToCartesian spends most of the vector in its zero tail,
+// which the Figure 6 rows and BM_ToCartesian's noise-free angles never
+// reach.
+BENCHMARK_CAPTURE(BM_GeoDpPerturb, mlp_beta_0.01, 0.01)
+    ->Args({158986, 64});
 BENCHMARK(BM_AverageClipped)
     ->Args({1250, 128})
     ->Args({1250, 512})

@@ -16,30 +16,11 @@ uint64_t SplitMix64(uint64_t& state) {
   return z ^ (z >> 31);
 }
 
-uint64_t RotL(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
-
 }  // namespace
 
 Rng::Rng(uint64_t seed) {
   uint64_t sm = seed;
   for (auto& s : state_) s = SplitMix64(sm);
-}
-
-uint64_t Rng::Next() {
-  const uint64_t result = RotL(state_[0] + state_[3], 23) + state_[0];
-  const uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = RotL(state_[3], 45);
-  return result;
-}
-
-double Rng::Uniform() {
-  // 53 random mantissa bits -> uniform in [0, 1).
-  return static_cast<double>(Next() >> 11) * 0x1.0p-53;
 }
 
 double Rng::Uniform(double lo, double hi) {
@@ -63,7 +44,7 @@ double Rng::Gaussian() {
   }
   // Box-Muller; u1 is kept away from zero so log() is finite.
   double u1 = Uniform();
-  while (u1 <= 1e-300) u1 = Uniform();
+  while (u1 <= kLogFloor) u1 = Uniform();
   const double u2 = Uniform();
   const double radius = std::sqrt(-2.0 * std::log(u1));
   cached_gaussian_ = radius * std::sin(2.0 * std::numbers::pi * u2);
@@ -82,7 +63,7 @@ double Rng::Laplace(double b) {
   const double u = Uniform() - 0.5;
   const double sign = u < 0 ? -1.0 : 1.0;
   double mag = 1.0 - 2.0 * std::fabs(u);
-  if (mag <= 1e-300) mag = 1e-300;
+  if (mag <= kLogFloor) mag = kLogFloor;
   return -b * sign * std::log(mag);
 }
 

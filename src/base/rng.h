@@ -16,6 +16,11 @@
 
 namespace geodp {
 
+/// Uniform draws at or below this are never passed to std::log: the
+/// Box-Muller transform (Rng::Gaussian and the AVX2 GaussianAdd kernel)
+/// redraws its u1, and Rng::Laplace clamps its 1 - 2|u| up to it.
+inline constexpr double kLogFloor = 1e-300;
+
 /// Complete serializable state of an Rng: the xoshiro256++ words plus the
 /// Box-Muller spare-sample cache. Restoring this state resumes the stream
 /// bit-for-bit, which is what lets a checkpointed training run reproduce
@@ -37,11 +42,22 @@ class Rng {
   Rng(const Rng&) = default;
   Rng& operator=(const Rng&) = default;
 
-  /// Next raw 64-bit value.
-  uint64_t Next();
+  /// Next raw 64-bit value. Defined here so that the noise kernels'
+  /// draw loops inline it.
+  uint64_t Next() {
+    const uint64_t result = RotL(state_[0] + state_[3], 23) + state_[0];
+    const uint64_t t = state_[1] << 17;
+    state_[2] ^= state_[0];
+    state_[3] ^= state_[1];
+    state_[1] ^= state_[2];
+    state_[0] ^= state_[3];
+    state_[2] ^= t;
+    state_[3] = RotL(state_[3], 45);
+    return result;
+  }
 
-  /// Uniform double in [0, 1).
-  double Uniform();
+  /// Uniform double in [0, 1): 53 random mantissa bits.
+  double Uniform() { return static_cast<double>(Next() >> 11) * 0x1.0p-53; }
 
   /// Uniform double in [lo, hi).
   double Uniform(double lo, double hi);
@@ -94,6 +110,10 @@ class Rng {
   void ImportState(const RngState& state);
 
  private:
+  static uint64_t RotL(uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+
   uint64_t state_[4];
   // Box-Muller produces pairs; the spare sample is cached here.
   bool has_cached_gaussian_ = false;

@@ -91,6 +91,12 @@ void SinCos(const double* angles, double* sin_out, double* cos_out,
   ActiveKernels().sincos(angles, sin_out, cos_out, n);
 }
 
+bool QuadrantSigns(const double* angles, int64_t n, uint64_t* sin_negative,
+                   uint64_t* cos_negative) {
+  return ActiveKernels().quadrant_signs(angles, n, sin_negative,
+                                        cos_negative);
+}
+
 void Atan2(const double* y, const double* x, double* out, int64_t n) {
   ActiveKernels().atan2(y, x, out, n);
 }

@@ -107,6 +107,28 @@ void SqrtArray(const double* x, double* out, int64_t n);
 void SinCos(const double* angles, double* sin_out, double* cos_out,
             int64_t n);
 
+/// Angles per QuadrantSigns call: one bit of a 64-bit word each.
+inline constexpr int64_t kQuadrantWord = 64;
+/// QuadrantSigns reads quadrants only for |angle| below this: the AVX2
+/// SinCos reduction's documented range (avx2_math.h).
+inline constexpr double kQuadrantRange = 16.0;
+/// QuadrantSigns also needs angle * 2/pi at least this far from an
+/// integer. There every tier's SinCos is far more accurate than its
+/// distance to a sign change, and the rounding of angle * 2/pi cannot move
+/// the quadrant.
+inline constexpr double kQuadrantMargin = 1e-6;
+
+/// Sign bits of sin and cos over angles[0..n), 1 <= n <= kQuadrantWord,
+/// from each angle's quadrant q = floor(angle * 2/pi) mod 4: bit i of
+/// *sin_negative is set for q in {2, 3}, bit i of *cos_negative for q in
+/// {1, 2}, and bits n..63 are clear. These are the sign bits of the
+/// active tier's SinCos. Returns false, leaving the words unspecified,
+/// when any angle is non-finite, has |angle| >= kQuadrantRange, or lies
+/// within kQuadrantMargin of a quadrant edge (±0 included): the caller
+/// then takes SinCos for that word.
+bool QuadrantSigns(const double* angles, int64_t n, uint64_t* sin_negative,
+                   uint64_t* cos_negative);
+
 /// out[i] = atan2(y[i], x[i]) with the usual quadrant conventions.
 void Atan2(const double* y, const double* x, double* out, int64_t n);
 

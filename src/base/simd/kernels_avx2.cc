@@ -20,6 +20,7 @@
 #include <numbers>
 
 #include "base/simd/avx2_math.h"
+#include "base/simd/kernels.h"
 #include "base/simd/kernels_impl.h"
 
 namespace geodp {
@@ -478,6 +479,64 @@ void SinCosAvx2(const double* angles, double* sin_out, double* cos_out,
   }
 }
 
+// Eight lanes per step, in two vectors of four: a lane is readable when
+// |angle| < kQuadrantRange (ordered, so NaN fails) and angle * 2/pi is at
+// least kQuadrantMargin from an integer. The sign bits are bit 1 of q and
+// of q + 1, shifted into the float sign position and gathered by
+// movemask. A last partial step is padded with pi/4 (q = 0), which sets
+// no bit.
+bool QuadrantSignsAvx2(const double* angles, int64_t n,
+                       uint64_t* sin_negative, uint64_t* cos_negative) {
+  const __m256d sign_mask = _mm256_set1_pd(-0.0);
+  const __m256d range = _mm256_set1_pd(kQuadrantRange);
+  const __m256d two_over_pi = _mm256_set1_pd(2.0 / std::numbers::pi);
+  const __m256d low = _mm256_set1_pd(kQuadrantMargin);
+  const __m256d high = _mm256_set1_pd(1.0 - kQuadrantMargin);
+  // Quadrant of four angles; *readable keeps only the readable lanes set.
+  // Unreadable lanes convert to the integer indefinite, whose bits the
+  // caller never uses.
+  const auto quadrants = [&](__m256d a, __m256d* readable) {
+    const __m256d t = _mm256_mul_pd(a, two_over_pi);
+    const __m256d whole = _mm256_floor_pd(t);
+    const __m256d frac = _mm256_sub_pd(t, whole);
+    *readable = _mm256_and_pd(
+        *readable,
+        _mm256_and_pd(
+            _mm256_cmp_pd(_mm256_andnot_pd(sign_mask, a), range, _CMP_LT_OQ),
+            _mm256_and_pd(_mm256_cmp_pd(frac, low, _CMP_GE_OQ),
+                          _mm256_cmp_pd(frac, high, _CMP_LE_OQ))));
+    return _mm256_cvttpd_epi32(whole);
+  };
+  const auto bit1 = [](__m256i q) {
+    return static_cast<uint64_t>(static_cast<uint32_t>(
+        _mm256_movemask_ps(_mm256_castsi256_ps(_mm256_slli_epi32(q, 30)))));
+  };
+  __m256d readable = _mm256_castsi256_pd(_mm256_set1_epi64x(-1));
+  uint64_t sin_bits = 0;
+  uint64_t cos_bits = 0;
+  for (int64_t i = 0; i < n; i += 8) {
+    __m256d a0, a1;
+    if (i + 8 <= n) {
+      a0 = _mm256_loadu_pd(angles + i);
+      a1 = _mm256_loadu_pd(angles + i + 4);
+    } else {
+      std::array<double, 8> padded;
+      padded.fill(std::numbers::pi / 4);
+      for (int64_t t = i; t < n; ++t) padded[t - i] = angles[t];
+      a0 = _mm256_loadu_pd(padded.data());
+      a1 = _mm256_loadu_pd(padded.data() + 4);
+    }
+    const __m128i q0 = quadrants(a0, &readable);
+    const __m128i q1 = quadrants(a1, &readable);
+    const __m256i q = _mm256_set_m128i(q1, q0);
+    sin_bits |= bit1(q) << i;
+    cos_bits |= bit1(_mm256_add_epi32(q, _mm256_set1_epi32(1))) << i;
+  }
+  *sin_negative = sin_bits;
+  *cos_negative = cos_bits;
+  return _mm256_movemask_pd(readable) == 0xF;
+}
+
 void Atan2Avx2(const double* y, const double* x, double* out, int64_t n) {
   const __m256d zero = _mm256_setzero_pd();
   int64_t i = 0;
@@ -533,56 +592,71 @@ void WrapReflectAvx2(double* angles, int64_t n) {
   }
 }
 
-// Box-Muller, batched four pairs at a time: the uniforms are drawn from
-// the stream scalar-side in exactly the pair order the scalar tier uses
-// (u1 with the small-value rejection, then u2), and the sqrt/log/sincos
-// math runs vectorized. Outputs per pair keep the scalar ordering:
-// radius*cos first, radius*sin second.
-void GaussianBatch4(Rng& stream, std::array<double, 8>& out) {
-  std::array<double, 4> u1, u2;
-  for (int p = 0; p < 4; ++p) {
-    double a = stream.Uniform();
-    while (a <= 1e-300) a = stream.Uniform();
-    u1[p] = a;
-    u2[p] = stream.Uniform();
-  }
-  const __m256d radius = _mm256_sqrt_pd(_mm256_mul_pd(
-      _mm256_set1_pd(-2.0), avx2::Log(_mm256_loadu_pd(u1.data()))));
+// Box-Muller, four pairs at a time: the uniforms are drawn from the
+// stream in exactly the pair order the scalar tier uses (u1 with its
+// kLogFloor rejection, then u2), and the sqrt/log/sincos math runs
+// vectorized. Each pair keeps the scalar ordering, radius*cos first and
+// radius*sin second, interleaved in registers: first = [c0 s0 c1 s1],
+// second = [c2 s2 c3 s3].
+struct GaussianPairs {
+  __m256d first;
+  __m256d second;
+};
+
+inline GaussianPairs GaussianBatch4(Rng& stream) {
+  const auto draw_pair = [&stream](double& u1, double& u2) {
+    u1 = stream.Uniform();
+    while (u1 <= kLogFloor) u1 = stream.Uniform();
+    u2 = stream.Uniform();
+  };
+  double u1_0, u2_0, u1_1, u2_1, u1_2, u2_2, u1_3, u2_3;
+  draw_pair(u1_0, u2_0);
+  draw_pair(u1_1, u2_1);
+  draw_pair(u1_2, u2_2);
+  draw_pair(u1_3, u2_3);
+  const __m256d radius = _mm256_sqrt_pd(
+      _mm256_mul_pd(_mm256_set1_pd(-2.0),
+                    avx2::Log(_mm256_setr_pd(u1_0, u1_1, u1_2, u1_3))));
   __m256d vs, vc;
-  avx2::SinCos(_mm256_mul_pd(_mm256_loadu_pd(u2.data()),
+  avx2::SinCos(_mm256_mul_pd(_mm256_setr_pd(u2_0, u2_1, u2_2, u2_3),
                              _mm256_set1_pd(kTwoPi)),
                &vs, &vc);
-  std::array<double, 4> rc, rs;
-  _mm256_storeu_pd(rc.data(), _mm256_mul_pd(radius, vc));
-  _mm256_storeu_pd(rs.data(), _mm256_mul_pd(radius, vs));
-  for (int p = 0; p < 4; ++p) {
-    out[2 * p] = rc[p];
-    out[2 * p + 1] = rs[p];
-  }
+  const __m256d rc = _mm256_mul_pd(radius, vc);
+  const __m256d rs = _mm256_mul_pd(radius, vs);
+  const __m256d even = _mm256_unpacklo_pd(rc, rs);  // c0 s0 c2 s2
+  const __m256d odd = _mm256_unpackhi_pd(rc, rs);   // c1 s1 c3 s3
+  return {_mm256_permute2f128_pd(even, odd, 0x20),
+          _mm256_permute2f128_pd(even, odd, 0x31)};
 }
 
+// dst += float(stddev * variate): a double product rounded to float, then
+// a float add, as in the scalar tier.
 void GaussianAddF32Avx2(Rng& stream, double stddev, float* dst, int64_t n) {
-  std::array<double, 8> batch;
+  const __m256d scale = _mm256_set1_pd(stddev);
   int64_t i = 0;
   for (; i + 8 <= n; i += 8) {
-    GaussianBatch4(stream, batch);
-    for (int p = 0; p < 8; ++p) {
-      dst[i + p] += static_cast<float>(stddev * batch[p]);
-    }
+    const GaussianPairs pairs = GaussianBatch4(stream);
+    const __m256 noise = _mm256_set_m128(
+        _mm256_cvtpd_ps(_mm256_mul_pd(scale, pairs.second)),
+        _mm256_cvtpd_ps(_mm256_mul_pd(scale, pairs.first)));
+    _mm256_storeu_ps(dst + i, _mm256_add_ps(_mm256_loadu_ps(dst + i), noise));
   }
   for (; i < n; ++i) {
     dst[i] += static_cast<float>(stream.Gaussian(0.0, stddev));
   }
 }
 
+// dst = fma(stddev, variate, dst).
 void GaussianAddF64Avx2(Rng& stream, double stddev, double* dst, int64_t n) {
-  std::array<double, 8> batch;
+  const __m256d scale = _mm256_set1_pd(stddev);
   int64_t i = 0;
   for (; i + 8 <= n; i += 8) {
-    GaussianBatch4(stream, batch);
-    for (int p = 0; p < 8; ++p) {
-      dst[i + p] = std::fma(stddev, batch[p], dst[i + p]);
-    }
+    const GaussianPairs pairs = GaussianBatch4(stream);
+    _mm256_storeu_pd(dst + i, _mm256_fmadd_pd(scale, pairs.first,
+                                              _mm256_loadu_pd(dst + i)));
+    _mm256_storeu_pd(dst + i + 4,
+                     _mm256_fmadd_pd(scale, pairs.second,
+                                     _mm256_loadu_pd(dst + i + 4)));
   }
   for (; i < n; ++i) dst[i] += stream.Gaussian(0.0, stddev);
 }
@@ -605,6 +679,7 @@ const KernelTable& Avx2Kernels() {
       .max_pool_2x2 = MaxPool2x2Avx2,
       .sqrt_array = SqrtArrayAvx2,
       .sincos = SinCosAvx2,
+      .quadrant_signs = QuadrantSignsAvx2,
       .atan2 = Atan2Avx2,
       .wrap_reflect = WrapReflectAvx2,
       .gaussian_add_f32 = GaussianAddF32Avx2,

@@ -37,6 +37,7 @@ struct KernelTable {
                        int64_t*);
   void (*sqrt_array)(const double*, double*, int64_t);
   void (*sincos)(const double*, double*, double*, int64_t);
+  bool (*quadrant_signs)(const double*, int64_t, uint64_t*, uint64_t*);
   void (*atan2)(const double*, const double*, double*, int64_t);
   void (*wrap_reflect)(double*, int64_t);
   void (*gaussian_add_f32)(Rng&, double, float*, int64_t);

@@ -10,6 +10,7 @@
 #include <cmath>
 #include <numbers>
 
+#include "base/simd/kernels.h"
 #include "base/simd/kernels_impl.h"
 
 namespace geodp {
@@ -161,6 +162,32 @@ void SinCosScalar(const double* angles, double* sin_out, double* cos_out,
   }
 }
 
+bool QuadrantSignsScalar(const double* angles, int64_t n,
+                         uint64_t* sin_negative, uint64_t* cos_negative) {
+  uint64_t sin_bits = 0;
+  uint64_t cos_bits = 0;
+  for (int64_t i = 0; i < n; ++i) {
+    // NaN fails the comparison.
+    if (!(std::fabs(angles[i]) < kQuadrantRange)) return false;
+    // q = floor(t) by truncation (|t| < 11); std::floor is a libm call
+    // without SSE4.1.
+    const double t = angles[i] * (2.0 / std::numbers::pi);
+    int64_t q = static_cast<int64_t>(t);
+    if (t < static_cast<double>(q)) --q;
+    const double frac = t - static_cast<double>(q);
+    if (!(frac >= kQuadrantMargin && frac <= 1.0 - kQuadrantMargin)) {
+      return false;
+    }
+    // Two's complement: bit 1 of q is bit 1 of q mod 4 for negative q too.
+    const auto bits = static_cast<uint64_t>(q);
+    sin_bits |= ((bits >> 1) & 1) << i;
+    cos_bits |= (((bits + 1) >> 1) & 1) << i;
+  }
+  *sin_negative = sin_bits;
+  *cos_negative = cos_bits;
+  return true;
+}
+
 void Atan2Scalar(const double* y, const double* x, double* out, int64_t n) {
   for (int64_t i = 0; i < n; ++i) out[i] = std::atan2(y[i], x[i]);
 }
@@ -203,6 +230,7 @@ const KernelTable& ScalarKernels() {
       .max_pool_2x2 = MaxPool2x2Scalar,
       .sqrt_array = SqrtArrayScalar,
       .sincos = SinCosScalar,
+      .quadrant_signs = QuadrantSignsScalar,
       .atan2 = Atan2Scalar,
       .wrap_reflect = WrapReflectScalar,
       .gaussian_add_f32 = GaussianAddF32Scalar,

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
+#include <cstring>
 #include <numbers>
 #include <vector>
 
@@ -23,6 +25,16 @@ static_assert(kSphericalBlock % 4 == 0);
 // Half the smallest positive float denormal: a double of at most this
 // magnitude rounds (to nearest, ties to even) to a float zero of its sign.
 constexpr double kFloatZeroBound = 0x1p-150;
+
+// kSignedZeros[b][j] is the bit pattern of -0.0f where bit j of b is set
+// and of +0.0f where it is clear: eight tail coordinates per sign byte.
+constexpr auto kSignedZeros = [] {
+  std::array<std::array<uint32_t, 8>, 256> table{};
+  for (uint32_t b = 0; b < 256; ++b) {
+    for (uint32_t j = 0; j < 8; ++j) table[b][j] = ((b >> j) & 1) << 31;
+  }
+  return table;
+}();
 
 }  // namespace
 
@@ -70,40 +82,78 @@ Tensor ToCartesian(const SphericalCoordinates& coords) {
   Tensor g({d});
   float* out = g.data();
   const double* angles = coords.angles.data();
-  // Prefix product of sines in the historical multiplication order, over
-  // per-block sin/cos. Once |magnitude * sin_product| <= kFloatZeroBound
-  // every later coordinate rounds to a float zero (|sin|, |cos| <= 1, so
-  // rounding can only shrink it), so the rest of the vector carries just
-  // that product's signed zero: multiplying it by each cos and sin gives
-  // the historical sign (and NaN on a NaN angle) without denormal
-  // arithmetic. See docs/geometry.md.
+  const int64_t count = d - 1;
+  // Head: prefix product of sines in the historical multiplication order,
+  // over per-block sin/cos. Once |magnitude * sin_product| <=
+  // kFloatZeroBound every later coordinate rounds to a float zero (|sin|,
+  // |cos| <= 1, so rounding can only shrink it): the tail.
   double sin_product = 1.0;  // sin(theta_1) * ... * sin(theta_{z-1})
   double tail_zero = 0.0;
-  bool in_tail = false;
+  int64_t tail = count;  // first coordinate of the tail; count if none
   std::array<double, kSphericalBlock> sins{};
   std::array<double, kSphericalBlock> coss{};
-  for (int64_t lo = 0; lo < d - 1; lo += kSphericalBlock) {
-    const int64_t n = std::min(kSphericalBlock, d - 1 - lo);
+  for (int64_t lo = 0; lo < count && tail == count; lo += kSphericalBlock) {
+    const int64_t n = std::min(kSphericalBlock, count - lo);
     simd::SinCos(angles + lo, sins.data(), coss.data(), n);
-    int64_t i = 0;
-    for (; !in_tail && i < n; ++i) {
+    for (int64_t i = 0; i < n; ++i) {
       const double head = coords.magnitude * sin_product;
       if (std::fabs(head) <= kFloatZeroBound) {
         tail_zero = std::copysign(0.0, head);
-        in_tail = true;
+        tail = lo + i;
         break;
       }
       out[lo + i] = static_cast<float>(head * coss[static_cast<size_t>(i)]);
       sin_product *= sins[static_cast<size_t>(i)];
     }
-    for (; i < n; ++i) {
-      out[lo + i] =
-          static_cast<float>(tail_zero * coss[static_cast<size_t>(i)]);
-      tail_zero *= sins[static_cast<size_t>(i)];
+  }
+  if (tail == count) {
+    out[count] = static_cast<float>(coords.magnitude * sin_product);
+    return g;
+  }
+  // Tail: the historical loop carries the signed zero tail_zero, releasing
+  // tail_zero * cos(theta_z) and then multiplying it by sin(theta_z). A
+  // product's sign is the XOR of its operands' signs, so one word of 64
+  // coordinates takes its signs from the angles' quadrants: coordinate i
+  // is negative when tail_zero's sign, the sines before it and its own
+  // cosine hold an odd number of negatives. A word QuadrantSigns cannot
+  // read, and every word after a NaN, runs the historical step on SinCos.
+  // See docs/geometry.md.
+  for (int64_t lo = tail; lo < count; lo += simd::kQuadrantWord) {
+    const int64_t n = std::min(simd::kQuadrantWord, count - lo);
+    uint64_t sin_negative = 0;
+    uint64_t cos_negative = 0;
+    if (!std::isnan(tail_zero) &&
+        simd::QuadrantSigns(angles + lo, n, &sin_negative, &cos_negative)) {
+      const uint64_t carry = std::signbit(tail_zero) ? ~uint64_t{0} : 0;
+      // Bit i: the XOR of sine bits 0..i-1 (an exclusive prefix XOR).
+      uint64_t sines_before = sin_negative;
+      for (int shift = 1; shift < 64; shift *= 2) {
+        sines_before ^= sines_before << shift;
+      }
+      sines_before <<= 1;
+      const uint64_t signs = carry ^ sines_before ^ cos_negative;
+      int64_t i = 0;
+      for (; i + 8 <= n; i += 8) {
+        std::memcpy(out + lo + i, kSignedZeros[(signs >> i) & 0xFF].data(),
+                    8 * sizeof(float));
+      }
+      if (i < n) {  // the vector's last word only
+        std::memcpy(out + lo + i, kSignedZeros[(signs >> i) & 0xFF].data(),
+                    static_cast<size_t>(n - i) * sizeof(float));
+      }
+      // The carried zero has now been multiplied by all n sines.
+      const bool odd_sines = std::popcount(sin_negative) % 2 == 1;
+      tail_zero = std::signbit(tail_zero) != odd_sines ? -0.0 : 0.0;
+    } else {
+      simd::SinCos(angles + lo, sins.data(), coss.data(), n);
+      for (int64_t i = 0; i < n; ++i) {
+        out[lo + i] =
+            static_cast<float>(tail_zero * coss[static_cast<size_t>(i)]);
+        tail_zero *= sins[static_cast<size_t>(i)];
+      }
     }
   }
-  out[d - 1] = static_cast<float>(in_tail ? tail_zero
-                                          : coords.magnitude * sin_product);
+  out[count] = static_cast<float>(tail_zero);
   return g;
 }
 

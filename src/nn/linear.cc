@@ -112,10 +112,13 @@ void Linear::GhostAccumulate(const std::vector<double>& weights) {
   // Scale each sample's backprop row by its weight, then one matmul
   // accumulates the weighted sum of outer products. Zero-weight samples
   // are zero-filled, never multiplied: a non-finite excluded row must
-  // contribute exactly nothing, and 0 * inf would be NaN.
-  Tensor scaled(cached_grad_output_.shape());
+  // contribute exactly nothing, and 0 * inf would be NaN. Every row is
+  // written, so the scratch needs no zero-fill.
+  if (weighted_grad_output_.numel() != batch * out_features_) {
+    weighted_grad_output_ = Tensor({batch, out_features_});
+  }
   for (int64_t b = 0; b < batch; ++b) {
-    float* row = scaled.data() + b * out_features_;
+    float* row = weighted_grad_output_.data() + b * out_features_;
     if (weights[static_cast<size_t>(b)] == 0.0) {
       std::fill(row, row + out_features_, 0.0f);
     } else {
@@ -125,7 +128,7 @@ void Linear::GhostAccumulate(const std::vector<double>& weights) {
           out_features_);
     }
   }
-  AccumulateGradients(scaled);
+  AccumulateGradients(weighted_grad_output_);
 }
 
 std::vector<Parameter*> Linear::Parameters() {

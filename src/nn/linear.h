@@ -52,11 +52,13 @@ class Linear : public Layer {
   Parameter bias_;
   Tensor cached_input_;
   Tensor cached_grad_output_;  // set by a ghost Backward for GhostAccumulate
-  // Scratch reused across calls: W^T for the forward product, and the
-  // transposed output gradient and product of the weight gradient.
+  // Scratch reused across calls: W^T for the forward product, the
+  // transposed output gradient and product of the weight gradient, and
+  // GhostAccumulate's weighted output gradient.
   Tensor weight_t_;
   Tensor grad_output_t_;
   Tensor weight_product_;
+  Tensor weighted_grad_output_;
 };
 
 }  // namespace geodp

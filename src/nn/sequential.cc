@@ -8,6 +8,10 @@ namespace geodp {
 
 Sequential& Sequential::Add(std::unique_ptr<Layer> layer) {
   GEODP_CHECK(layer != nullptr);
+  if (leading_parameter_free_ == layers_.size() &&
+      layer->Parameters().empty()) {
+    ++leading_parameter_free_;
+  }
   layers_.push_back(std::move(layer));
   return *this;
 }
@@ -23,11 +27,7 @@ Tensor Sequential::Backward(
     Tensor grad_output,
     std::vector<double>* ghost_norm_sq,  // geodp: per-sample norms out
     bool input_grad) {
-  size_t first = 0;
-  while (!input_grad && first < layers_.size() &&
-         layers_[first]->Parameters().empty()) {
-    ++first;
-  }
+  const size_t first = input_grad ? 0 : leading_parameter_free_;
   for (size_t i = layers_.size(); i-- > first;) {
     grad_output = layers_[i]->Backward(std::move(grad_output),
                                        ghost_norm_sq,  // geodp: per-sample

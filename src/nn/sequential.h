@@ -48,6 +48,9 @@ class Sequential : public Layer {
  private:
   std::string name_;
   std::vector<std::unique_ptr<Layer>> layers_;
+  // Layers before the first one that owns parameters, counted by Add so
+  // that Backward does not build a Parameters() vector per call.
+  size_t leading_parameter_free_ = 0;
 };
 
 }  // namespace geodp

@@ -26,6 +26,7 @@
 #include <utility>
 #include <vector>
 
+#include "base/crc32.h"
 #include "base/rng.h"
 #include "base/simd/dispatch.h"
 #include "base/simd/kernels.h"
@@ -707,6 +708,124 @@ TEST_F(SimdKernelTest, SinCosStaysWithinUnitInterval) {
   });
 }
 
+// QuadrantSigns must fall back on these: non-finite, outside the AVX2
+// reduction's range, or within the margin of a quadrant edge (a test-side
+// margin a little under kQuadrantMargin, so rounding cannot flip it).
+bool MustFallBack(double angle) {
+  const double t = angle * (2.0 / std::numbers::pi);
+  return !(std::fabs(angle) < simd::kQuadrantRange) ||
+         std::fabs(t - std::nearbyint(t)) < 0.9 * simd::kQuadrantMargin;
+}
+
+// Wherever QuadrantSigns reads an angle, its bits are the sign bits of
+// the active tier's SinCos. Each angle is read alone (n = 1): the
+// nextafter neighbourhoods of k*pi/2, points on either side of the
+// margin, +-0, +-inf, NaN and |angle| >= 16.
+TEST_F(SimdKernelTest, QuadrantSignsMatchSinCosSignsWhereverTheyRead) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double half_pi = std::numbers::pi / 2;
+  std::vector<double> angles = {0.0,   -0.0,  inf,  -inf, nan,
+                                -nan,  16.0,  -16.0, 1e9,  -1e9,
+                                std::nextafter(16.0, 0.0),
+                                std::nextafter(-16.0, 0.0),
+                                -37.0 * std::numbers::pi};
+  for (int k = -64; k <= 64; ++k) {
+    double up = k * half_pi;
+    double down = up;
+    for (int step = 0; step < 64; ++step) {
+      angles.push_back(up);
+      angles.push_back(down);
+      up = std::nextafter(up, 1e9);
+      down = std::nextafter(down, -1e9);
+    }
+    for (const double delta : {0.5e-6, 0.99e-6, 1.01e-6, 2e-6, 1e-4, 0.25,
+                               0.5, 0.75}) {
+      angles.push_back((k + delta) * half_pi);
+      angles.push_back((k - delta) * half_pi);
+    }
+  }
+  Rng rng(11600);
+  for (int i = 0; i < 20000; ++i) angles.push_back(rng.Gaussian(0.0, 6.0));
+  const auto n = static_cast<int64_t>(angles.size());
+  ForEachTier([&](SimdTier) {
+    std::vector<double> s(angles.size()), c(angles.size());
+    simd::SinCos(angles.data(), s.data(), c.data(), n);
+    int64_t read = 0;
+    for (size_t i = 0; i < angles.size(); ++i) {
+      uint64_t sin_negative = ~uint64_t{0};
+      uint64_t cos_negative = ~uint64_t{0};
+      const bool ok = simd::QuadrantSigns(&angles[i], 1, &sin_negative,
+                                          &cos_negative);
+      if (MustFallBack(angles[i])) {
+        ASSERT_FALSE(ok) << "angle " << angles[i];
+      }
+      if (!ok) continue;
+      ++read;
+      ASSERT_EQ(sin_negative, std::signbit(s[i]) ? 1u : 0u)
+          << "sin(" << angles[i] << ") = " << s[i];
+      ASSERT_EQ(cos_negative, std::signbit(c[i]) ? 1u : 0u)
+          << "cos(" << angles[i] << ") = " << c[i];
+    }
+    EXPECT_GT(read, n / 2);
+  });
+}
+
+// Whole and partial words: bit i belongs to angles[i], bits n..63 are
+// clear, and one unreadable lane anywhere in a word (its first or last
+// included) makes the whole call fall back.
+TEST_F(SimdKernelTest, QuadrantSignsPackOneBitPerLaneInWords) {
+  Rng rng(11700);
+  std::vector<double> angles(64 * 40);
+  for (double& a : angles) a = rng.Gaussian(0.0, 5.0);
+  ForEachTier([&](SimdTier) {
+    int64_t read_words = 0;
+    for (int64_t n = 1; n <= simd::kQuadrantWord; ++n) {
+      for (int64_t lo = 0; lo + n <= static_cast<int64_t>(angles.size());
+           lo += 64 * 8 + n) {
+        std::vector<double> word(angles.begin() + lo,
+                                 angles.begin() + lo + n);
+        bool readable = true;
+        for (const double a : word) readable = readable && !MustFallBack(a);
+        std::vector<double> s(word.size()), c(word.size());
+        simd::SinCos(word.data(), s.data(), c.data(), n);
+        uint64_t sin_negative = 0;
+        uint64_t cos_negative = 0;
+        const bool ok =
+            simd::QuadrantSigns(word.data(), n, &sin_negative, &cos_negative);
+        if (!readable) {
+          ASSERT_FALSE(ok) << "n=" << n << " lo=" << lo;
+        }
+        if (ok) {
+          ++read_words;
+          for (int64_t i = 0; i < 64; ++i) {
+            const uint64_t bit = uint64_t{1} << i;
+            const auto lane = static_cast<size_t>(i);
+            const bool sin_bit = i < n && std::signbit(s[lane]);
+            const bool cos_bit = i < n && std::signbit(c[lane]);
+            ASSERT_EQ((sin_negative & bit) != 0, sin_bit)
+                << "n=" << n << " i=" << i;
+            ASSERT_EQ((cos_negative & bit) != 0, cos_bit)
+                << "n=" << n << " i=" << i;
+          }
+        }
+        for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                                 std::numeric_limits<double>::infinity(),
+                                 0.0, 20.0}) {
+          for (const int64_t lane : {int64_t{0}, n - 1}) {
+            std::vector<double> spoiled = word;
+            spoiled[static_cast<size_t>(lane)] = bad;
+            ASSERT_FALSE(simd::QuadrantSigns(spoiled.data(), n, &sin_negative,
+                                             &cos_negative))
+                << "n=" << n << " lane=" << lane << " angle=" << bad;
+          }
+        }
+      }
+    }
+    EXPECT_GT(read_words, 64);
+  });
+}
+
 TEST_F(SimdKernelTest, Atan2MatchesLibmIncludingAxesAndSignedZero) {
   for (int64_t n : kEdgeSizes) {
     std::vector<double> y = RandnF64(n, 12000 + static_cast<uint64_t>(n));
@@ -798,6 +917,81 @@ TEST_F(SimdKernelTest, GaussianAddTiersConsumeTheSameUniformsAndAgreeClosely) {
     simd::GaussianAdd(again, stddev, avx2_again.data(), n);
     EXPECT_EQ(MaxAbsDiffSpan(avx2_out, avx2_again), 0.0) << "n=" << n;
   }
+}
+
+// CRC-32 of dst after GaussianAdd into a ramp, followed by the stream's
+// next raw draw, so a change to either the variates or the number of
+// uniforms consumed moves it.
+template <typename T>
+uint32_t GaussianAddCrc(Rng stream, int64_t n) {
+  std::vector<T> dst(static_cast<size_t>(n));
+  for (int64_t i = 0; i < n; ++i) {
+    dst[static_cast<size_t>(i)] =
+        static_cast<T>(0.25 * static_cast<double>(i) - 1.0);
+  }
+  simd::GaussianAdd(stream, 1.75, dst.data(), n);
+  std::vector<uint8_t> bytes(dst.size() * sizeof(T) + sizeof(uint64_t));
+  std::memcpy(bytes.data(), dst.data(), dst.size() * sizeof(T));
+  const uint64_t next = stream.Next();
+  std::memcpy(bytes.data() + dst.size() * sizeof(T), &next, sizeof next);
+  return Crc32(bytes.data(), bytes.size());
+}
+
+// A stream whose first Uniform() is exactly 0: xoshiro256++ returns
+// rotl(s0 + s3, 23) + s0, which is 0 when s0 = s3 = 0, so the Box-Muller
+// u1 rejection redraws at once.
+Rng ZeroFirstUniformStream() {
+  RngState state;
+  state.state[1] = 0x243F6A8885A308D3ULL;
+  state.state[2] = 0x13198A2E03707344ULL;
+  Rng stream(0);
+  stream.ImportState(state);
+  return stream;
+}
+
+TEST(ZeroFirstUniformStreamTest, FirstUniformIsExactlyZero) {
+  Rng stream = ZeroFirstUniformStream();
+  EXPECT_EQ(stream.Uniform(), 0.0);
+  EXPECT_GT(stream.Uniform(), 0.0);
+}
+
+// GaussianAdd's bytes on each tier, recorded before the AVX2 kernel kept
+// its Box-Muller pairs in registers and Rng::Uniform became inline. The
+// sizes straddle the 8-variate batch and the 4096-coordinate noise chunk;
+// the last row is the zero-first-uniform stream at n = 9.
+TEST_F(SimdKernelTest, GaussianAddKeepsItsRecordedBytesOnEveryTier) {
+  struct Row {
+    int64_t n;
+    uint32_t scalar_f32, scalar_f64, avx2_f32, avx2_f64;
+  };
+  const Row kRows[] = {
+      {1, 0xFAC6D745u, 0x4042662Fu, 0xFAC6D745u, 0x4042662Fu},
+      {7, 0xCDE52DB7u, 0x68EACB4Au, 0xCDE52DB7u, 0x68EACB4Au},
+      {8, 0x2160F280u, 0x19346094u, 0x2160F280u, 0xEBD7CCD4u},
+      {9, 0x0CAC53D5u, 0xB60E3683u, 0x0CAC53D5u, 0x025F89D6u},
+      {15, 0x4B9D918Cu, 0x0FEA4A6Du, 0x4B9D918Cu, 0xD507F994u},
+      {16, 0x17BC698Cu, 0xB224280Bu, 0x17BC698Cu, 0xB09299D3u},
+      {17, 0x203EE4F0u, 0x29E487C9u, 0x203EE4F0u, 0xC79D8F44u},
+      {4095, 0x5453420Du, 0xD9978D90u, 0x5453420Du, 0x14987D1Du},
+      {4096, 0x3522E9A0u, 0x2F361E39u, 0x3522E9A0u, 0x1B10DCB7u},
+      {4097, 0xC9A84E4Du, 0x648E0F9Du, 0xC9A84E4Du, 0x1B6FE021u},
+      {9, 0x106B7855u, 0xB934B762u, 0x106B7855u, 0x4719218Cu},
+  };
+  ForEachTier([&](SimdTier tier) {
+    const bool scalar = tier == SimdTier::kScalar;
+    for (size_t r = 0; r < std::size(kRows); ++r) {
+      const Row& row = kRows[r];
+      const Rng stream = r + 1 == std::size(kRows)
+                             ? ZeroFirstUniformStream()
+                             : Rng(16000 + static_cast<uint64_t>(row.n));
+      EXPECT_EQ(GaussianAddCrc<float>(stream, row.n),
+                scalar ? row.scalar_f32 : row.avx2_f32)
+          << "row " << r << " n=" << row.n;
+      EXPECT_EQ(GaussianAddCrc<double>(stream, row.n),
+                scalar ? row.scalar_f64 : row.avx2_f64)
+          << "row " << r << " n=" << row.n;
+    }
+  });
 }
 
 // --- Per-tier 1-vs-8-thread determinism -----------------------------------

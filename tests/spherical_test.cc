@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <numbers>
 #include <string>
 #include <vector>
@@ -381,6 +382,79 @@ TEST(SphericalTest, ToCartesianUnderflowedTailKeepsHistoricalSigns) {
     int64_t zeros = 0;
     for (int64_t i = 0; i < actual.numel(); ++i) zeros += actual[i] == 0.0f;
     EXPECT_GT(zeros, actual.numel() / 2);
+  }
+  SetSimdTier(entry_tier);
+}
+
+// ToCartesian reads the zero tail's signs one 64-angle word at a time,
+// counted from the first tail coordinate. Sweep where the tail starts
+// (every offset mod 64, and inside the last partial word), and put NaN or
+// inf on a word's first and last lane, where the word must fall back to
+// SinCos and, after a NaN, the rest of the vector with it.
+TEST(SphericalTest, ToCartesianTailWordsMatchHistoricalLoopOnEveryTier) {
+  const SimdTier entry_tier = ActiveSimdTier();
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  constexpr int64_t kCount = 3 * 64 + 17;  // angles; d = kCount + 1
+  for (const SimdTier tier : AvailableSimdTiers()) {
+    SetSimdTier(tier);
+    SCOPED_TRACE(std::string("tier ") + SimdTierName(tier));
+    Rng rng(4545);
+    for (int64_t tail = 0; tail <= kCount; ++tail) {
+      // Spoilers: none, then NaN or inf on the first and last lane of the
+      // tail's first and second word.
+      for (int spoiler = 0; spoiler < 9; ++spoiler) {
+        SphericalCoordinates c;
+        c.magnitude = (tail % 2 == 0) ? -1.7 : 2.3;
+        c.angles.resize(static_cast<size_t>(kCount));
+        for (int64_t z = 0; z < kCount; ++z) {
+          // Before the tail sin is ~1; the angle just before it has sine
+          // 1e-50, below kFloatZeroBound, so the tail starts at `tail`.
+          // Tail angles have mixed quadrants, with the odd exact zero and
+          // multiple of pi/2 that a word cannot read.
+          double angle = rng.Gaussian(kPi / 2, 1e-3);
+          if (z + 1 == tail) angle = 1e-50;
+          if (z >= tail) {
+            const double u = rng.Uniform();
+            angle = u < 0.01   ? -0.0
+                    : u < 0.02 ? kPi
+                               : rng.Gaussian(kPi / 2, 2.0);
+          }
+          c.angles[static_cast<size_t>(z)] = angle;
+        }
+        if (tail == 0) c.magnitude = -0.0;
+        int64_t spoiled = kCount + 1;  // index of the NaN or inf angle
+        if (spoiler > 0) {
+          const int64_t word = (spoiler - 1) / 4;
+          const bool last_lane = ((spoiler - 1) / 2) % 2 == 1;
+          spoiled = tail + 64 * word + (last_lane ? 63 : 0);
+          if (spoiled >= kCount) continue;
+          c.angles[static_cast<size_t>(spoiled)] =
+              (spoiler % 2 == 1) ? nan : inf;
+        }
+        const Tensor expected = HistoricalToCartesian(c);
+        const Tensor actual = ToCartesian(c);
+        if (spoiler > 0 && spoiler % 2 == 0 && tier == SimdTier::kAvx2) {
+          // The AVX2 SinCos maps +-inf to (+-inf, -inf), not NaN. The
+          // historical loop multiplied that by its tiny nonzero product
+          // and released infinities; the tail's signed zero times inf is
+          // NaN, from the inf coordinate to the end.
+          for (int64_t i = 0; i < actual.numel(); ++i) {
+            if (i < spoiled) {
+              ASSERT_EQ(std::bit_cast<uint32_t>(expected[i]),
+                        std::bit_cast<uint32_t>(actual[i]))
+                  << "tail=" << tail << " spoiler=" << spoiler << " i=" << i;
+            } else {
+              ASSERT_TRUE(std::isnan(actual[i]))
+                  << "tail=" << tail << " spoiler=" << spoiler << " i=" << i;
+            }
+          }
+          continue;
+        }
+        ASSERT_EQ(BitMismatches(expected, actual), 0)
+            << "tail=" << tail << " spoiler=" << spoiler;
+      }
+    }
   }
   SetSimdTier(entry_tier);
 }
